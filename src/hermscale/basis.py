@@ -14,6 +14,7 @@ overflows long before n ~ 300).
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -21,10 +22,12 @@ import numpy as np
 N_MAX_LIMIT = 100_000
 
 _PI_M4 = np.pi ** -0.25
-_SQRT2 = np.sqrt(2.0)
-# Below this value of max(x**2)/2 the Gaussian seed is a normal double and
-# the plain recurrence is safe; beyond it we carry a separate log-scale.
-_DIRECT_SEED_CUTOFF = 600.0
+_LN2 = np.log(2.0)
+# Seed-relative rows are divided by 2**_RESCALE_BITS whenever they exceed
+# 2**_RESCALE_BITS; scaling by a power of two is exact.
+_RESCALE_BITS = 600
+_RESCALE = 2.0 ** _RESCALE_BITS
+_UNSCALE = 2.0 ** -_RESCALE_BITS
 
 
 @dataclass(frozen=True)
@@ -100,52 +103,63 @@ def _validate_points(x):
     return x
 
 
+def _hermite_rows(x: np.ndarray, n_max: int):
+    """Yield the rows h_0(x), h_1(x), ..., h_{n_max}(x) for a 1-d array x.
+
+    The one implementation of the recurrence; O(x.size) memory.  Points whose
+    Gaussian seed is a normal double run on true values.  The others run on
+    v_n = h_n(x) * 2**-e with a per-point exponent e, raised in exact
+    power-of-two rescales, and are emitted as (v_n * 2**(e+B)) * 2**-B, which
+    is correctly rounded wherever h_n(x) is a normal double.  Every value
+    depends on its own point only, not on the rest of the batch.
+    """
+    cur = _PI_M4 * np.exp(-0.5 * x * x)
+    scale = None
+    under = cur < np.finfo(float).tiny
+    if under.any():
+        ls = -0.5 * x[under] ** 2 - 0.25 * np.log(np.pi)
+        exponent = np.zeros(x.shape, dtype=np.int64)
+        exponent[under] = np.floor(ls / _LN2)
+        cur[under] = np.exp(ls - exponent[under] * _LN2)
+        # 2**(e+B): exactly 2**B for the true-value points.
+        scale = np.ldexp(1.0, exponent + _RESCALE_BITS)
+
+    def emit(v):
+        return v if scale is None else v * scale * _UNSCALE
+
+    prev = np.zeros_like(x)
+    yield emit(cur)
+    for n in range(n_max):
+        prev, cur = cur, (x * math.sqrt(2.0 / (n + 1)) * cur
+                          - math.sqrt(n / (n + 1)) * prev)
+        if scale is not None:
+            big = np.abs(cur) > _RESCALE
+            if big.any():
+                prev[big] *= _UNSCALE
+                cur[big] *= _UNSCALE
+                exponent[big] += _RESCALE_BITS
+                scale[big] = np.ldexp(1.0, exponent[big] + _RESCALE_BITS)
+        yield emit(cur)
+
+
 def eval_hermite_functions(x, n_max: int) -> np.ndarray:
     """Values h_0(x) .. h_{n_max}(x) by upward recurrence.
 
-    Returns shape (n_max+1,) + shape(x).  For |x| large enough that the
-    Gaussian seed underflows, the recurrence runs on seed-relative values
-    with a per-point log-scale, so entries near the turning point stay
-    correct for any n within the guard limit.
+    Returns shape (n_max+1,) + shape(x), filled row by row from the one
+    streaming recurrence (per-point scaling where the Gaussian seed
+    underflows, |x| > ~37.6), so each column equals the evaluation at that
+    point alone and stays correct for any n within the guard limit.
     """
     if not isinstance(n_max, (int, np.integer)) or n_max < 0:
         raise ValueError(f"n_max must be a non-negative integer, got {n_max}")
     if n_max > N_MAX_LIMIT:
         raise ValueError(f"n_max={n_max} exceeds guard limit {N_MAX_LIMIT}")
     x = _validate_points(x)
-    shape = x.shape
     xv = np.atleast_1d(x).ravel()
     out = np.empty((n_max + 1, xv.size))
-
-    if xv.size == 0:
-        return out.reshape((n_max + 1,) + shape)
-
-    if np.max(xv * xv) / 2.0 <= _DIRECT_SEED_CUTOFF:
-        out[0] = _PI_M4 * np.exp(-0.5 * xv * xv)
-        if n_max >= 1:
-            out[1] = _SQRT2 * xv * out[0]
-        for n in range(1, n_max):
-            out[n + 1] = (xv * np.sqrt(2.0 / (n + 1)) * out[n]
-                          - np.sqrt(n / (n + 1)) * out[n - 1])
-    else:
-        # Seed-relative recurrence: v_n = h_n(x) * exp(-ls), ls tracked per point.
-        ls = -0.5 * xv * xv - 0.25 * np.log(np.pi)
-        v0 = np.ones_like(xv)
-        v1 = _SQRT2 * xv
-        out[0] = np.exp(ls)
-        if n_max >= 1:
-            out[1] = v1 * np.exp(ls)
-        for n in range(1, n_max):
-            v2 = xv * np.sqrt(2.0 / (n + 1)) * v1 - np.sqrt(n / (n + 1)) * v0
-            big = np.abs(v2) > 1e250
-            if big.any():
-                scale = np.where(big, 1e-250, 1.0)
-                v1 = v1 * scale
-                v2 = v2 * scale
-                ls = ls + np.where(big, np.log(1e250), 0.0)
-            out[n + 1] = v2 * np.exp(ls)
-            v0, v1 = v1, v2
-    return out.reshape((n_max + 1,) + shape)
+    for n, row in enumerate(_hermite_rows(xv, n_max)):
+        out[n] = row
+    return out.reshape((n_max + 1,) + x.shape)
 
 
 def eval_scaled_basis(basis: ScaledBasis, x) -> np.ndarray:
@@ -155,9 +169,18 @@ def eval_scaled_basis(basis: ScaledBasis, x) -> np.ndarray:
 
 
 def synthesize(coeffs: SpectralCoeffs, x) -> np.ndarray:
-    """Evaluate the represented function sum_n c_n phi_n at points x."""
-    phi = eval_scaled_basis(coeffs.basis, x)
-    return np.tensordot(coeffs.values, phi, axes=(0, 0))
+    """Evaluate the represented function sum_n c_n phi_n at points x.
+
+    Accumulates over the streamed basis rows, so memory is O(size of x)
+    whatever the truncation index; a scalar x gives a 0-d array.
+    """
+    x = _validate_points(x)
+    beta = coeffs.basis.beta
+    c = coeffs.values
+    acc = np.zeros(x.size, dtype=np.result_type(c, float))
+    for cn, row in zip(c, _hermite_rows(beta * x.ravel(), coeffs.basis.n_max)):
+        acc += cn * row
+    return (np.sqrt(beta) * acc).reshape(x.shape)
 
 
 def derivative_matrix(basis: ScaledBasis) -> np.ndarray:

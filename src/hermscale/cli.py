@@ -18,7 +18,7 @@ import numpy as np
 
 from . import galerkin
 from .basis import ScaledBasis
-from .errors import AccuracyError, BracketError
+from .errors import AccuracyError, HermscaleError
 from .fourier import TestFunction, catalog_entry
 from .operators import (ErrorBreakdown, error_breakdown, projection_error,
                         transition_point)
@@ -163,11 +163,11 @@ def parse_schedule(text: str, u: Optional[TestFunction]) -> Callable[[int], floa
                      "power(c,p), logsqrt(c) or hlog(c)")
 
 
-def _measure_error(u: TestFunction, basis: ScaledBasis, gamma: float,
+def _measure_error(u: TestFunction, basis: ScaledBasis,
+                   problem: Optional[galerkin.ModelProblem],
                    measure: str) -> float:
     if measure == "l2_projection":
         return projection_error(u, basis)
-    problem = galerkin.manufactured_problem(u, gamma)
     grid = compute_grid(basis.n_max)
     coeffs = galerkin.solve(problem, basis, grid)
     if measure == "l2_discrete":
@@ -180,13 +180,15 @@ def run_sweep(config: SweepConfig) -> list:
     """One record per truncation index; deterministic; optionally writes CSV."""
     u = catalog_entry(config.function)
     schedule = parse_schedule(config.schedule, u)
+    problem = (None if config.measure == "l2_projection"
+               else galerkin.manufactured_problem(u, config.gamma))
     records = []
     for n in config.n_values:
         beta = schedule(n)
         basis = ScaledBasis(n, beta)
         breakdown = error_breakdown(u, basis)
         try:
-            error = _measure_error(u, basis, config.gamma, config.measure)
+            error = _measure_error(u, basis, problem, config.measure)
             flag = ""
         except AccuracyError as exc:
             error, flag = math.nan, f"accuracy: {exc}"
@@ -196,13 +198,17 @@ def run_sweep(config: SweepConfig) -> list:
     return records
 
 
-def write_csv(path, records) -> None:
+def _csv_text(records) -> str:
     lines = [CSV_HEADER]
     for r in records:
         b = r.breakdown
         lines.append(f"{r.n},{r.beta:.17e},{r.error:.17e},"
                      f"{b.spatial:.17e},{b.frequency:.17e},{b.hermite:.17e}")
-    Path(path).write_text("\n".join(lines) + "\n")
+    return "\n".join(lines) + "\n"
+
+
+def write_csv(path, records) -> None:
+    Path(path).write_text(_csv_text(records))
 
 
 def read_csv(path) -> list:
@@ -519,11 +525,7 @@ def main(argv=None) -> int:
             config = _sweep_config_from_args(args)
             records = run_sweep(config)
             if not config.output:
-                print(CSV_HEADER)
-                for r in records:
-                    b = r.breakdown
-                    print(f"{r.n},{r.beta:.17e},{r.error:.17e},"
-                          f"{b.spatial:.17e},{b.frequency:.17e},{b.hermite:.17e}")
+                print(_csv_text(records), end="")
             flagged = [r for r in records if r.flag]
             for r in flagged:
                 print(f"warning: N={r.n} flagged: {r.flag}", file=sys.stderr)
@@ -538,10 +540,7 @@ def main(argv=None) -> int:
         if args.command == "reproduce":
             return reproduce(args.target, args.out)
         raise AssertionError("unreachable")
-    except (BracketError,) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 4
-    except AccuracyError as exc:
+    except HermscaleError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 4
     except (ValueError, OSError) as exc:

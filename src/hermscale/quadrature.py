@@ -12,12 +12,14 @@ large N).
 
 from __future__ import annotations
 
+from collections import deque
 from dataclasses import dataclass
 
 import numpy as np
 from scipy.linalg import eigh_tridiagonal
 
-from .basis import ScaledBasis, SpectralCoeffs, eval_hermite_functions
+from .basis import (ScaledBasis, SpectralCoeffs, _hermite_rows,
+                    eval_hermite_functions)
 
 N_MAX_GRID = 10_000
 
@@ -39,39 +41,13 @@ class CollocationGrid:
         return self.nodes / beta
 
 
-def _top_pair_and_weight_sums(x: np.ndarray, n_top: int):
-    """Streaming recurrence returning (h_{n_top-1}, h_{n_top}, sum_{n<n_top} h_n**2).
-
-    Seed-relative with per-point rescaling, so it stays valid at nodes near
-    the turning point where exp(-x**2/2) underflows.  O(1) memory in n.
-    """
-    ls = -0.5 * x * x - 0.25 * np.log(np.pi)
-    v0 = np.ones_like(x)
-    v1 = np.sqrt(2.0) * x
-    # Accumulated in the current scale: true sum = acc * exp(2*ls).
-    acc = v0 * v0
-    if n_top == 1:
-        return v0 * np.exp(ls), v1 * np.exp(ls), acc * np.exp(2.0 * ls)
-    for n in range(1, n_top):
-        acc = acc + v1 * v1
-        v2 = x * np.sqrt(2.0 / (n + 1)) * v1 - np.sqrt(n / (n + 1)) * v0
-        # Threshold guards acc, which carries squares of the iterates.
-        big = np.abs(v2) > 1e140
-        if big.any():
-            scale = np.where(big, 1e-140, 1.0)
-            v1, v2 = v1 * scale, v2 * scale
-            acc = acc * scale ** 2
-            ls = ls + np.where(big, np.log(1e140), 0.0)
-        v0, v1 = v1, v2
-    return v0 * np.exp(ls), v1 * np.exp(ls), acc * np.exp(2.0 * ls)
-
-
 def compute_grid(n_max: int) -> CollocationGrid:
     """Collocation grid of size n_max+1.
 
     Nodes are eigenvalues of the symmetric tridiagonal Jacobi matrix with
     off-diagonal entries sqrt((j+1)/2), polished by one Newton step on
-    h_{N+1}; weights follow from the orthonormal-family identity.
+    h_{N+1}; weights follow from the orthonormal-family identity.  Both
+    stream h_n through the basis recurrence in O(N) memory.
     """
     if not isinstance(n_max, (int, np.integer)) or not 0 <= n_max <= N_MAX_GRID:
         raise ValueError(f"n_max must be an integer in [0, {N_MAX_GRID}], got {n_max}")
@@ -82,7 +58,7 @@ def compute_grid(n_max: int) -> CollocationGrid:
         off = np.sqrt(np.arange(1, n + 1) / 2.0)
         nodes = eigh_tridiagonal(np.zeros(n + 1), off, eigvals_only=True)
         # One Newton step: h'_{N+1}(x) = sqrt(2(N+1))*h_N(x) - x*h_{N+1}(x).
-        h_n, h_np1, _ = _top_pair_and_weight_sums(nodes, n + 1)
+        h_n, h_np1 = deque(_hermite_rows(nodes, n + 1), maxlen=2)
         deriv = np.sqrt(2.0 * (n + 1)) * h_n - nodes * h_np1
         nodes = nodes - h_np1 / deriv
         # The spectrum is symmetric; make that exact.
@@ -93,8 +69,7 @@ def compute_grid(n_max: int) -> CollocationGrid:
         raise RuntimeError(
             f"grid construction failed for n_max={n_max}: nodes not strictly "
             f"increasing (min gap {np.min(np.diff(nodes)) if n else 0.0:.3e})")
-    _, _, sums = _top_pair_and_weight_sums(nodes, n + 1)
-    weights = 1.0 / sums
+    weights = 1.0 / sum(h * h for h in _hermite_rows(nodes, n))
     weights = 0.5 * (weights + weights[::-1])
     if not np.all(weights > 0):
         raise RuntimeError(f"grid construction failed for n_max={n_max}: "

@@ -8,15 +8,14 @@ the library does not use for them.
 
 import numpy as np
 import pytest
+from hypothesis import settings
 from scipy.integrate import quad
 
 import hermscale as hs
 
-
-def scalar_inner_product(f, g, x_lo=-np.inf, x_hi=np.inf, tol=1e-12):
-    val, _ = quad(lambda x: f(x) * g(x), x_lo, x_hi, epsabs=tol, epsrel=1e-12,
-                  limit=800)
-    return val
+# Fixed example sequence: the property tests draw the same inputs every run.
+settings.register_profile("hermscale", derandomize=True, deadline=None)
+settings.load_profile("hermscale")
 
 
 def hermite_value(n, x):
@@ -26,14 +25,22 @@ def hermite_value(n, x):
 
 def gram_matrix_by_quadrature(basis, size, tol=1e-12):
     """Gram matrix of the first `size` scaled basis elements by scalar
-    adaptive quadrature."""
+    adaptive quadrature.
+
+    Each abscissa evaluates the basis once, up to the larger index only.
+    """
     g = np.empty((size, size))
     cut = (np.sqrt(2.0 * basis.n_max + 1.0) + 20.0) / basis.beta
     for m in range(size):
         for n in range(m, size):
-            fm = lambda x: hs.eval_scaled_basis(basis, np.asarray(x))[m]
-            fn = lambda x: hs.eval_scaled_basis(basis, np.asarray(x))[n]
-            g[m, n] = g[n, m] = scalar_inner_product(fm, fn, -cut, cut, tol)
+            prefix = hs.ScaledBasis(n, basis.beta)
+
+            def integrand(x):
+                phi = hs.eval_scaled_basis(prefix, np.asarray(x))
+                return phi[m] * phi[n]
+
+            g[m, n] = g[n, m] = quad(integrand, -cut, cut, epsabs=tol,
+                                     epsrel=1e-12, limit=800)[0]
     return g
 
 

@@ -1,8 +1,14 @@
+import tracemalloc
+
+import mpmath
 import numpy as np
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
 import hermscale as hs
 from hermscale.basis import ScaledBasis, SpectralCoeffs
+from hermscale.operators import support_radius
 
 from conftest import gram_matrix_by_quadrature
 
@@ -65,6 +71,38 @@ class TestHermiteFunctions:
         assert np.abs(vals[:200]).max() == 0.0           # true values < 1e-320
         assert np.abs(vals[1850:]).max() > 1e-8          # oscillatory region
 
+    @given(near=st.lists(st.floats(-30.0, 30.0), min_size=1, max_size=4),
+           far=st.lists(st.floats(40.0, 70.0), min_size=1, max_size=3),
+           n_max=st.integers(0, 1200))
+    def test_columns_independent_of_batch(self, near, far, n_max):
+        # Points whose seed underflows (|x| > 40) share a batch with
+        # ordinary ones; no column may depend on its neighbours.
+        x = np.array(near + [-f for f in far] + far)
+        batch = hs.eval_hermite_functions(x, n_max)
+        for j, xj in enumerate(x):
+            single = hs.eval_hermite_functions(xj, n_max)
+            assert np.array_equal(batch[:, j], single)
+
+    def test_against_high_precision_recurrence(self):
+        # Independent 60-digit recurrence.  Near a zero of h_n no double
+        # recurrence is accurate relative to |h_n| itself, so the error is
+        # measured against the pair norm sqrt(h_{n-1}**2 + h_n**2), the
+        # local size of the recurrence's solution, which never vanishes.
+        xs = [0.3, 5.0, 20.0, 36.0, 38.7, 60.0]
+        n_max = 1900
+        got = hs.eval_hermite_functions(np.array(xs), n_max)
+        with mpmath.workdps(60):
+            for j, x in enumerate(xs):
+                t = mpmath.mpf(x)
+                prev = mpmath.mpf(0)
+                cur = mpmath.pi ** mpmath.mpf(-0.25) * mpmath.exp(-t * t / 2)
+                for n in range(n_max + 1):
+                    if abs(cur) > mpmath.mpf("1e-290"):
+                        pair = mpmath.sqrt(prev * prev + cur * cur)
+                        assert abs(got[n, j] - cur) <= 1e-12 * pair, (x, n)
+                    prev, cur = cur, (t * mpmath.sqrt(mpmath.mpf(2) / (n + 1)) * cur
+                                      - mpmath.sqrt(mpmath.mpf(n) / (n + 1)) * prev)
+
     def test_vector_shape(self):
         x = np.linspace(-2, 2, 7).reshape(7)
         assert hs.eval_hermite_functions(x, 5).shape == (6, 7)
@@ -95,6 +133,44 @@ class TestScaledBasis:
             ScaledBasis(4, 0.0)
         with pytest.raises(ValueError):
             ScaledBasis(4, np.inf)
+
+
+class TestSynthesize:
+    @pytest.mark.parametrize("complex_coeffs", [False, True])
+    def test_matches_basis_matrix(self, complex_coeffs):
+        rng = np.random.default_rng(12)
+        basis = ScaledBasis(400, 0.8)
+        c = rng.standard_normal(401)
+        if complex_coeffs:
+            c = c + 1j * rng.standard_normal(401)
+        coeffs = SpectralCoeffs(basis, c)
+        # Spans the support window, including points whose seed underflows.
+        x = np.linspace(-support_radius(basis), support_radius(basis), 777)
+        expected = c @ hs.eval_scaled_basis(basis, x)
+        got = hs.synthesize(coeffs, x)
+        assert got.dtype == expected.dtype
+        assert np.abs(got - expected).max() <= 1e-13 * np.abs(c).sum()
+
+    def test_scalar_point_gives_0d(self):
+        coeffs = SpectralCoeffs(ScaledBasis(3, 2.0), np.array([1.0, 0.5, 0, 2]))
+        got = hs.synthesize(coeffs, 0.4)
+        assert got.shape == ()
+        expected = coeffs.values @ hs.eval_scaled_basis(coeffs.basis, 0.4)
+        assert abs(got - expected) <= 1e-13 * np.abs(coeffs.values).sum()
+
+    def test_memory_independent_of_truncation(self):
+        # The full basis matrix here would be 1025 x 31000 doubles (254 MB).
+        n = 1024
+        basis = ScaledBasis(n, 30.0 / np.sqrt(n))
+        coeffs = SpectralCoeffs(basis, np.random.default_rng(1).standard_normal(n + 1))
+        x = np.linspace(-support_radius(basis), support_radius(basis), 31_000)
+        tracemalloc.start()
+        try:
+            hs.synthesize(coeffs, x)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < 16 * 2 ** 20
 
 
 class TestDerivativeMatrix:

@@ -34,7 +34,7 @@ class TestGridConstruction:
         assert np.all(g.weights > 0)
         assert np.abs(g.weights - g.weights[::-1]).max() == 0.0
 
-    @pytest.mark.parametrize("n", [8, 64, 256])
+    @pytest.mark.parametrize("n", [8, 64, 256, 1000])
     def test_discrete_orthonormality(self, n):
         g = compute_grid(n)
         v = hermite_vandermonde(g)
