@@ -1,12 +1,36 @@
 import math
+import tracemalloc
 
+import mpmath
 import numpy as np
 import pytest
 import scipy.special
+from hypothesis import given
+from hypothesis import strategies as st
 from scipy.integrate import quad
 
 import hermscale as hs
 from hermscale.fourier import catalog_entry
+
+
+def algebraic_frequency_tail_by_quad(h, kc):
+    """||F[u] 1_{|k|>kc}|| for u = (1+x**2)**(-h) from scipy's kv and quad.
+
+    Pieces graded by decades from kc (or 0) up to 1 and unit pieces up to
+    kc + 60, each integrated to 1e-13 relative: an independent code path.
+    """
+    nu = h - 0.5
+    scale = 2.0 ** (1.0 - h) / math.gamma(h)
+    at_zero = math.gamma(nu) / (math.sqrt(2.0) * math.gamma(h))
+
+    def f2(k):
+        return at_zero ** 2 if k == 0.0 else (scale * k ** nu * scipy.special.kv(nu, k)) ** 2
+
+    edges = sorted({kc} | {10.0 ** -j for j in range(17) if 10.0 ** -j > kc}
+                   | {kc + j for j in range(1, 61)})
+    total = sum(quad(f2, a, b, epsabs=0.0, epsrel=1e-13, limit=200, full_output=1)[0]
+                for a, b in zip(edges, edges[1:]))
+    return math.sqrt(2.0 * total)
 
 
 class TestBesselK:
@@ -39,6 +63,56 @@ class TestBesselK:
         with pytest.raises(ValueError):
             hs.bessel_k(-1.0, 1.0)
 
+    def test_non_finite_rejected(self):
+        for nu, x in ((1.0, math.nan), (1.0, math.inf), (math.nan, 1.0),
+                      (math.inf, 1.0), (1.0, np.array([1.0, math.nan]))):
+            with pytest.raises(ValueError):
+                hs.bessel_k(nu, x)
+
+    def test_extreme_arguments(self):
+        # K_1(x) ~ 1/x as x -> 0; K_2.5(1e-300) ~ 1e750 overflows.
+        assert hs.bessel_k(1.0, 1e-300) == pytest.approx(1e300, rel=1e-12)
+        assert hs.bessel_k(2.5, 1e-300) == math.inf
+        # Subnormal x, where kv itself gives up: K_0(x) = -log(x/2) - gamma + O(x^2).
+        x = 5e-324
+        expect = float(mpmath.besselk(0, mpmath.mpf(x)))
+        assert hs.bessel_k(0.0, x) == pytest.approx(expect, rel=1e-13)
+        # Large orders: the terms are scaled by the integrand's peak.
+        for nu, x in ((1500.0, 800.0), (2000.0, 1000.0)):
+            expect = float(mpmath.besselk(nu, x))
+            assert hs.bessel_k(nu, x) == pytest.approx(expect, rel=1e-12, abs=0.0)
+        assert hs.bessel_k(800.0, 1.0) == math.inf
+
+    def test_array_shape_and_scalar_type(self):
+        x = np.array([[0.1, 1.0, 10.0], [1e-8, 200.0, 650.0]])
+        got = hs.bessel_k(1.5, x)
+        assert got.shape == x.shape
+        assert np.allclose(got, scipy.special.kv(1.5, x), rtol=1e-12, atol=0.0)
+        assert type(hs.bessel_k(1.5, 2.0)) is float
+        assert hs.bessel_k(1.5, np.array([])).shape == (0,)
+
+    @given(st.floats(0.0, 12.0), st.floats(-300.0, math.log10(700.0)))
+    def test_matches_kv(self, nu, log10_x):
+        x = 10.0 ** log10_x
+        ref = float(scipy.special.kv(nu, x))
+        got = hs.bessel_k(nu, x)
+        if math.isinf(ref):
+            # kv returns inf somewhat below the largest double.
+            assert got > 1e300
+        elif ref >= np.finfo(float).tiny:
+            assert got == pytest.approx(ref, rel=1e-12, abs=0.0)
+
+    def test_blocked_memory(self):
+        # Unblocked, the 20,000 x 400-odd trapezoid grid would be ~67 MB.
+        x = np.geomspace(1e-6, 700.0, 20_000)
+        tracemalloc.start()
+        try:
+            hs.bessel_k(1.0, x)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < 16 * 2 ** 20
+
 
 class TestAlgebraicTransform:
     def test_h1_reduces_to_exponential(self):
@@ -63,6 +137,24 @@ class TestAlgebraicTransform:
     def test_domain_error(self):
         with pytest.raises(ValueError):
             hs.algebraic_transform(0.5, 1.0)
+
+    def test_array_matches_scalar_calls(self):
+        for h in (0.55, 1.5, 3.7):
+            k = np.array([[-2.0, 0.0, 1e-12], [0.3, 7.0, 60.0]])
+            got = hs.algebraic_transform(h, k)
+            assert got.shape == k.shape
+            for idx in np.ndindex(k.shape):
+                one = hs.algebraic_transform(h, k[idx])
+                assert type(one) is float
+                assert got[idx] == pytest.approx(one, rel=1e-14, abs=0.0)
+            assert np.array_equal(hs.algebraic(h).eval_Fu(k), got)
+
+    def test_tiny_frequency_uses_limit(self):
+        # k**(h-1/2) underflows and K_{h-1/2}(k) overflows here; the value is
+        # the k = 0 limit to rounding.
+        h = 3.7
+        expect = math.gamma(h - 0.5) / (math.sqrt(2.0) * math.gamma(h))
+        assert hs.algebraic_transform(h, 1e-200) == pytest.approx(expect, rel=1e-15)
 
 
 class TestNumericalFourier:
@@ -108,6 +200,25 @@ class TestTailNorm:
     def test_negative_cutoff_rejected(self):
         with pytest.raises(ValueError):
             hs.tail_norm(lambda x: x, -1.0, 1e-10)
+        with pytest.raises(ValueError):
+            hs.tail_norm(lambda x: x, math.nan, 1e-10)
+
+
+class TestAlgebraicTails:
+    @pytest.mark.parametrize("h", [0.55, 0.75, 1.5, 2.0, 2.5, 3.0, 3.7])
+    def test_frequency_tail_against_kv_quadrature(self, h):
+        u = hs.algebraic(h)
+        for kc in (0.0, 1e-6, 0.05, 0.5, 1.0, 5.0, 22.0, 30.0, 60.0, 200.0):
+            expect = algebraic_frequency_tail_by_quad(h, kc)
+            assert u.frequency_tail(kc) == pytest.approx(expect, rel=1e-12, abs=0.0), kc
+
+    @pytest.mark.parametrize("h", [1.0, 1.5, 1.7, 2.0])
+    def test_bad_cutoff_rejected(self, h):
+        u = hs.algebraic(h)
+        for tail in (u.spatial_tail, u.frequency_tail):
+            for cutoff in (-1.0, -1e-300, math.nan, math.inf):
+                with pytest.raises(ValueError):
+                    tail(cutoff)
 
 
 class TestCatalog:
