@@ -17,12 +17,12 @@ from typing import Callable, Optional
 import numpy as np
 
 from . import galerkin
-from .basis import ScaledBasis
+from .basis import N_MAX_LIMIT, ScaledBasis
 from .errors import AccuracyError, HermscaleError
-from .fourier import TestFunction, catalog_entry
+from .fourier import TestFunction, _parse_call, catalog_entry
 from .operators import (ErrorBreakdown, error_breakdown, projection_error,
                         transition_point)
-from .quadrature import compute_grid
+from .quadrature import N_MAX_GRID, compute_grid
 
 CSV_HEADER = "n,beta,error,e_spatial,e_frequency,e_hermite"
 
@@ -54,6 +54,8 @@ class SweepConfig:
     output: Optional[str] = None
 
     def __post_init__(self):
+        object.__setattr__(self, "function", self.function.strip())
+        object.__setattr__(self, "schedule", self.schedule.strip())
         ns = tuple(int(n) for n in self.n_values)
         if not ns or any(n < 2 for n in ns) or any(
                 b <= a for a, b in zip(ns, ns[1:])):
@@ -61,34 +63,46 @@ class SweepConfig:
         object.__setattr__(self, "n_values", ns)
         if self.measure not in MEASURES:
             raise ValueError(f"measure must be one of {MEASURES}, got {self.measure}")
-        if not self.gamma > 0:
-            raise ValueError(f"gamma must be positive, got {self.gamma}")
-        catalog_entry(self.function)          # validate id early
-        parse_schedule(self.schedule, None)   # validate shape early
+        limit = N_MAX_LIMIT if self.measure == "l2_projection" else N_MAX_GRID
+        if ns[-1] > limit:
+            raise ValueError(f"N={ns[-1]} exceeds the {self.measure} limit {limit}")
+        if not (math.isfinite(self.gamma) and self.gamma > 0):
+            raise ValueError(f"gamma must be positive and finite, got {self.gamma}")
+        schedule = parse_schedule(self.schedule, catalog_entry(self.function))
+        for n in ns:
+            try:
+                beta = schedule(n)
+            except OverflowError:
+                beta = math.inf
+            if not (math.isfinite(beta) and beta > 0):
+                raise ValueError(f"schedule {self.schedule} gives beta={beta} at N={n}")
 
     def to_text(self) -> str:
         lines = [f"function={self.function}",
                  f"n={','.join(str(n) for n in self.n_values)}",
                  f"schedule={self.schedule}",
-                 f"gamma={self.gamma:g}",
+                 f"gamma={self.gamma!r}",
                  f"measure={self.measure}"]
         if self.output:
             lines.append(f"out={self.output}")
         return "\n".join(lines) + "\n"
 
     @classmethod
-    def from_text(cls, text: str) -> "SweepConfig":
-        kv = parse_config_text(text)
-        unknown = set(kv) - {"function", "n", "schedule", "gamma", "measure", "out"}
+    def from_settings(cls, settings: dict) -> "SweepConfig":
+        """Config from text settings keyed by flag name; absent optional
+        settings keep the field defaults."""
+        unknown = sorted(set(settings) - set(_SETTINGS))
         if unknown:
-            raise ValueError(f"unknown config keys: {sorted(unknown)}")
-        for key in ("function", "n", "schedule"):
-            if key not in kv:
-                raise ValueError(f"config is missing required key {key!r}")
-        return cls(function=kv["function"], n_values=parse_n_list(kv["n"]),
-                   schedule=kv["schedule"], gamma=float(kv.get("gamma", 1.0)),
-                   measure=kv.get("measure", "l2_solution"),
-                   output=kv.get("out"))
+            raise ValueError(f"unknown sweep settings: {unknown}")
+        missing = [k for k in ("function", "n", "schedule") if k not in settings]
+        if missing:
+            raise ValueError(f"missing required sweep settings: {missing}")
+        return cls(**{_SETTINGS[k][0]: _SETTINGS[k][1](v)
+                      for k, v in settings.items()})
+
+    @classmethod
+    def from_text(cls, text: str) -> "SweepConfig":
+        return cls.from_settings(parse_config_text(text))
 
 
 @dataclass(frozen=True)
@@ -126,22 +140,22 @@ def parse_n_list(text: str) -> tuple:
             raise ValueError(f"malformed range {text!r}; expected lo:hi[:step]")
         if step < 1 or hi < lo:
             raise ValueError(f"malformed range {text!r}")
+        if hi > N_MAX_LIMIT:
+            raise ValueError(f"range {text!r} exceeds the limit N={N_MAX_LIMIT}")
         return tuple(range(lo, hi + 1, step))
     return tuple(int(p) for p in text.split(","))
 
 
-def parse_schedule(text: str, u: Optional[TestFunction]) -> Callable[[int], float]:
+# Flag name and config-file key -> (SweepConfig field, conversion from text).
+_SETTINGS = {"function": ("function", str), "n": ("n_values", parse_n_list),
+             "schedule": ("schedule", str), "gamma": ("gamma", float),
+             "measure": ("measure", str), "out": ("output", str)}
+
+
+def parse_schedule(text: str, u: TestFunction) -> Callable[[int], float]:
     """Scaling schedules: constant(c), power(c, p) -> c*N**p,
     logsqrt(c) -> c/sqrt(N), hlog(c) -> c*h*ln(N)/sqrt(N)."""
-    text = text.strip()
-    if "(" not in text or not text.endswith(")"):
-        raise ValueError(f"malformed schedule {text!r}; expected name(params)")
-    name, args_text = text[:-1].split("(", 1)
-    name = name.strip()
-    try:
-        args = [float(a) for a in args_text.split(",") if a.strip()]
-    except ValueError:
-        raise ValueError(f"non-numeric schedule parameters in {text!r}") from None
+    name, args = _parse_call(text, "schedule")
     if any(a <= 0 for a in args):
         raise ValueError(f"schedule parameters must be positive in {text!r}")
 
@@ -152,8 +166,6 @@ def parse_schedule(text: str, u: Optional[TestFunction]) -> Callable[[int], floa
     if name == "logsqrt" and len(args) == 1:
         return lambda n: args[0] / math.sqrt(n)
     if name == "hlog" and len(args) == 1:
-        if u is None:
-            return lambda n: None  # shape validation only
         if u.decay_meta.spatial_kind != "algebraic":
             raise ValueError(f"hlog schedule needs an algebraic-decay function, "
                              f"got {u.id}")
@@ -238,6 +250,16 @@ def _least_squares_fit(x, y):
     return slope, intercept, r2
 
 
+def _usable(records, floor: float, at_least: int):
+    """N and log error of the unflagged records with finite error > floor."""
+    pts = [(r.n, r.error) for r in records
+           if not r.flag and np.isfinite(r.error) and r.error > floor]
+    if len(pts) < at_least:
+        raise ValueError(f"need at least {at_least} usable records, got {len(pts)}")
+    ns, errors = np.array(pts, dtype=float).T
+    return ns, np.log(errors)
+
+
 def fit_order(records, model: str = "algebraic", floor: float = 0.0) -> FitResult:
     """Convergence-order fit.
 
@@ -246,22 +268,18 @@ def fit_order(records, model: str = "algebraic", floor: float = 0.0) -> FitResul
     with error <= floor are excluded: once a sweep saturates at the
     double-precision noise floor its points carry no order information.
     """
-    pts = [(r.n, r.error) for r in records
-           if not r.flag and np.isfinite(r.error) and r.error > floor]
-    if len(pts) < 4:
-        raise ValueError(f"need at least 4 usable records, got {len(pts)}")
-    ns = np.array([p[0] for p in pts], dtype=float)
-    log_e = np.log(np.array([p[1] for p in pts]))
-    model = model.strip()
-    if model == "algebraic":
-        x = np.log(ns)
-    elif model.startswith("exp_power(") and model.endswith(")"):
-        gamma_exp = float(model[len("exp_power("):-1])
-        if gamma_exp <= 0:
-            raise ValueError(f"exp_power exponent must be positive, got {gamma_exp}")
-        x = ns ** gamma_exp
-    else:
-        raise ValueError(f"unknown fit model {model!r}")
+    exponent = None
+    if model.strip() != "algebraic":
+        name, args = _parse_call(model, "fit model")
+        if name != "exp_power" or len(args) != 1 or args[0] <= 0:
+            raise ValueError(f"unknown fit model {model!r}; expected algebraic "
+                             "or exp_power(g) with g > 0")
+        exponent = args[0]
+    ns, log_e = _usable(records, floor, 4)
+    with np.errstate(over="ignore"):
+        x = np.log(ns) if exponent is None else ns ** exponent
+    if not np.all(np.isfinite(x)):
+        raise ValueError(f"fit model {model!r} overflows at N={ns.max():g}")
     slope, _, r2 = _least_squares_fit(x, log_e)
     return FitResult(rate=-slope, r2=r2)
 
@@ -269,7 +287,7 @@ def fit_order(records, model: str = "algebraic", floor: float = 0.0) -> FitResul
 def locate_transition(function: str = "algebraic", h: float = 1.5,
                       out=None) -> float:
     """Root of the tail-balance function for the given catalog family."""
-    u = catalog_entry(f"{function}({h:g})")
+    u = catalog_entry(f"{function}({h!r})")
     root = transition_point(u, (1.0, 200.0))
     print(f"{u.id}: tail-balance root {root:.4f} (nearest integer {round(root)})",
           file=out if out is not None else sys.stdout)
@@ -283,12 +301,7 @@ def detect_slope_change(records) -> float:
     right of every admissible breakpoint, keeps the split with the smallest
     total squared residual, and returns the N where the two fits intersect.
     """
-    pts = [(r.n, r.error) for r in records
-           if not r.flag and np.isfinite(r.error) and r.error > 0]
-    if len(pts) < 8:
-        raise ValueError(f"need at least 8 usable records, got {len(pts)}")
-    ns = np.array([p[0] for p in pts], dtype=float)
-    log_e = np.log(np.array([p[1] for p in pts]))
+    ns, log_e = _usable(records, 0.0, 8)
 
     best = None
     for i in range(3, len(ns) - 3):
@@ -473,8 +486,8 @@ def _build_parser() -> argparse.ArgumentParser:
     sweep.add_argument("--n", help="truncation indices: lo:hi[:step] or comma list")
     sweep.add_argument("--schedule",
                        help="constant(c) | power(c,p) | logsqrt(c) | hlog(c)")
-    sweep.add_argument("--gamma", type=float, default=1.0)
-    sweep.add_argument("--measure", choices=MEASURES, default="l2_solution")
+    sweep.add_argument("--gamma", help="reaction coefficient of -u'' + gamma*u = f")
+    sweep.add_argument("--measure", help=" | ".join(MEASURES))
     sweep.add_argument("--out", help="CSV output path")
     sweep.add_argument("--config", help="key=value file overriding the flags")
 
@@ -493,26 +506,6 @@ def _build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-def _sweep_config_from_args(args) -> SweepConfig:
-    values = {"function": args.function, "n": args.n, "schedule": args.schedule,
-              "gamma": None if args.gamma is None else f"{args.gamma:g}",
-              "measure": args.measure, "out": args.out}
-    if args.config:
-        for key, val in parse_config_text(Path(args.config).read_text()).items():
-            if key not in values:
-                raise ValueError(f"unknown config key {key!r}")
-            values[key] = val
-    missing = [k for k in ("function", "n", "schedule") if not values[k]]
-    if missing:
-        raise ValueError(f"missing required sweep settings: {missing}")
-    return SweepConfig(function=values["function"],
-                       n_values=parse_n_list(values["n"]),
-                       schedule=values["schedule"],
-                       gamma=float(values["gamma"] or 1.0),
-                       measure=values["measure"] or "l2_solution",
-                       output=values["out"])
-
-
 def main(argv=None) -> int:
     parser = _build_parser()
     try:
@@ -522,7 +515,11 @@ def main(argv=None) -> int:
 
     try:
         if args.command == "sweep":
-            config = _sweep_config_from_args(args)
+            settings = {k: getattr(args, k) for k in _SETTINGS
+                        if getattr(args, k) is not None}
+            if args.config:
+                settings.update(parse_config_text(Path(args.config).read_text()))
+            config = SweepConfig.from_settings(settings)
             records = run_sweep(config)
             if not config.output:
                 print(_csv_text(records), end="")

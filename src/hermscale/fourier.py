@@ -221,8 +221,8 @@ def _derived_entry(parent: TestFunction, eval_v, eval_dv=None,
 
 def plain_gaussian(sigma: float = 1.0) -> TestFunction:
     """u(x) = exp(-x**2 / (2*sigma**2));  F[u](k) = sigma*exp(-sigma**2*k**2/2)."""
-    if not sigma > 0:
-        raise ValueError(f"sigma must be positive, got {sigma}")
+    if not (math.isfinite(sigma) and sigma > 0):
+        raise ValueError(f"sigma must be positive and finite, got {sigma}")
     s2 = sigma * sigma
 
     def u(x):
@@ -330,10 +330,11 @@ def _inverse_quadratic_tail(m: float, cutoff: float) -> float:
 
 
 def algebraic(h: float) -> TestFunction:
-    """u(x) = (1+x**2)**(-h), h > 1/2: algebraic spatial decay, exponential
-    (rate-1) frequency decay via the Bessel-K transform."""
-    if h <= 0.5:
-        raise ValueError(f"algebraic requires h > 1/2, got {h}")
+    """u(x) = (1+x**2)**(-h), 1/2 < h <= 30: algebraic spatial decay,
+    exponential (rate-1) frequency decay via the Bessel-K transform (whose
+    factor K_(h-1/2)(k) overflows near k = 0 above h = 30)."""
+    if not (math.isfinite(h) and 0.5 < h <= 30.0):
+        raise ValueError(f"algebraic requires 1/2 < h <= 30, got {h}")
 
     def u(x):
         return (1.0 + np.asarray(x) ** 2) ** (-h)
@@ -494,23 +495,29 @@ _CONSTRUCTORS = {
 }
 
 
+def _parse_call(text: str, what: str) -> tuple:
+    """Split 'name(a, b, ...)' into the stripped name and a tuple of finite
+    float arguments (empty ones skipped); ValueError on anything else."""
+    text = text.strip()
+    if "(" not in text or not text.endswith(")"):
+        raise ValueError(f"malformed {what} {text!r}; expected name(args)")
+    name, args_text = text[:-1].split("(", 1)
+    args = tuple(float(a) for a in args_text.split(",") if a.strip())
+    if not all(math.isfinite(a) for a in args):
+        raise ValueError(f"arguments of {what} {text!r} must be finite numbers")
+    return name.strip(), args
+
+
 def catalog_entry(text: str) -> TestFunction:
     """Build a catalog entry from an id string like 'algebraic(1.5)' or
     'gaussian(1,0)'."""
-    text = text.strip()
-    if "(" not in text or not text.endswith(")"):
-        raise ValueError(f"malformed catalog id {text!r}; expected name(args)")
-    name, args_text = text[:-1].split("(", 1)
-    name = name.strip()
+    name, args = _parse_call(text, "catalog id")
     if name not in _CONSTRUCTORS:
         raise ValueError(f"unknown catalog id {name!r}; known: "
                          f"{sorted(_CONSTRUCTORS)}")
     ctor, max_args = _CONSTRUCTORS[name]
-    args = [a for a in (s.strip() for s in args_text.split(",")) if a]
     if not 1 <= len(args) <= max_args:
         raise ValueError(f"{name} takes 1..{max_args} parameters, got {len(args)}")
-    if name == "gaussian_power":
-        values = [int(args[0])]
-    else:
-        values = [float(a) for a in args]
-    return ctor(*values)
+    if name == "gaussian_power" and args[0].is_integer():
+        args = (int(args[0]),)  # a non-integer goes on to be rejected there
+    return ctor(*args)

@@ -23,8 +23,8 @@ from scipy.linalg import LinAlgError, solveh_banded
 
 from .basis import ScaledBasis, SpectralCoeffs, differentiate
 from .fourier import TestFunction, tail_norm
-from .operators import residual_l2
-from .quadrature import CollocationGrid, analysis, synthesis
+from .operators import interpolate, residual_l2
+from .quadrature import CollocationGrid, synthesis
 
 
 @dataclass(frozen=True)
@@ -84,11 +84,7 @@ def _apply(system: GalerkinSystem, c):
 def solve(problem: ModelProblem, basis: ScaledBasis,
           grid: CollocationGrid) -> SpectralCoeffs:
     """Galerkin solution coefficients for the given basis and grid."""
-    if grid.n_max != basis.n_max:
-        raise ValueError(f"grid size {grid.size} does not match basis size "
-                         f"{basis.size}")
-    f_values = problem.rhs.eval_u(grid.scaled_nodes(basis.beta))
-    b = analysis(grid, f_values, basis.beta).values
+    b = interpolate(problem.rhs, basis, grid).values
     system = assemble(basis, problem.gamma)
 
     c = np.empty_like(b)
@@ -152,15 +148,9 @@ def discrete_solution_error(coeffs: SpectralCoeffs, exact: TestFunction,
     the reference convergence tables are stated in this norm; the
     full-line norm is solution_error.
     """
-    if grid.n_max != coeffs.basis.n_max:
-        raise ValueError(f"grid size {grid.size} does not match basis size "
-                         f"{coeffs.basis.size}")
     beta = coeffs.basis.beta
     diff = exact.eval_u(grid.scaled_nodes(beta)) - synthesis(grid, coeffs)
-    if exact.complex_valued:
-        sq = (diff * diff.conjugate()).real
-    else:
-        sq = diff * diff
+    sq = (diff * diff.conjugate()).real
     return math.sqrt(float(np.sum(grid.weights * sq)) / beta)
 
 
@@ -171,8 +161,7 @@ def solution_error(coeffs: SpectralCoeffs, exact: TestFunction,
     The H1 part synthesizes the discrete derivative through the coefficient
     derivative map and needs the exact derivative evaluator.
     """
-    l2 = residual_l2(exact.eval_u, exact.spatial_tail, coeffs,
-                     rel_tol=rel_tol, complex_valued=exact.complex_valued)
+    l2 = residual_l2(exact.eval_u, exact.spatial_tail, coeffs, rel_tol=rel_tol)
     out = {"l2": l2, "h1": None}
     if not include_h1:
         return out
@@ -184,7 +173,6 @@ def solution_error(coeffs: SpectralCoeffs, exact: TestFunction,
         d_tail = exact.derivative().spatial_tail
     else:
         d_tail = lambda m: tail_norm(exact.eval_du, m, 1e-9)
-    dl2 = residual_l2(exact.eval_du, d_tail, dcoeffs, rel_tol=rel_tol,
-                      complex_valued=exact.complex_valued)
+    dl2 = residual_l2(exact.eval_du, d_tail, dcoeffs, rel_tol=rel_tol)
     out["h1"] = math.sqrt(l2 * l2 + dl2 * dl2)
     return out

@@ -102,7 +102,7 @@ def interpolate(u: TestFunction, basis: ScaledBasis,
 
 
 def residual_l2(eval_u, spatial_tail, coeffs: SpectralCoeffs,
-                rel_tol: float = 1e-9, complex_valued: bool = False) -> float:
+                rel_tol: float = 1e-9) -> float:
     """|| u - (function represented by coeffs) || in L2.
 
     Adaptive quadrature of the squared pointwise residual over the basis
@@ -111,14 +111,9 @@ def residual_l2(eval_u, spatial_tail, coeffs: SpectralCoeffs,
     """
     x_max = support_radius(coeffs.basis)
 
-    if complex_valued:
-        def f(x):
-            r = eval_u(x) - synthesize(coeffs, x)
-            return (r * r.conjugate()).real
-    else:
-        def f(x):
-            r = eval_u(x) - synthesize(coeffs, x)
-            return r * r
+    def f(x):
+        r = eval_u(x) - synthesize(coeffs, x)
+        return (r * r.conjugate()).real
 
     # Below the cancellation floor of u(x) - u_N(x) the integrand is pure
     # roundoff noise; refining past that scale cannot converge.
@@ -136,16 +131,14 @@ def projection_error(u: TestFunction, basis: ScaledBasis,
                      tol: float = 1e-11) -> float:
     """Measured best-approximation error ||u - proj_N^beta u||."""
     coeffs = project(u, basis, tol=tol)
-    return residual_l2(u.eval_u, u.spatial_tail, coeffs,
-                       complex_valued=u.complex_valued)
+    return residual_l2(u.eval_u, u.spatial_tail, coeffs)
 
 
 def interpolation_error(u: TestFunction, basis: ScaledBasis,
                         grid: CollocationGrid) -> float:
     """Measured interpolation error ||u - interp_N^beta u||."""
     coeffs = interpolate(u, basis, grid)
-    return residual_l2(u.eval_u, u.spatial_tail, coeffs,
-                       complex_valued=u.complex_valued)
+    return residual_l2(u.eval_u, u.spatial_tail, coeffs)
 
 
 def error_breakdown(u: TestFunction, basis: ScaledBasis) -> ErrorBreakdown:

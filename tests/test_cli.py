@@ -1,11 +1,22 @@
+import contextlib
+import io
 import math
+import os
+import subprocess
+import sys
+from pathlib import Path
+
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 import hermscale as hs
 from hermscale import cli
+from hermscale.basis import N_MAX_LIMIT
 from hermscale.errors import AccuracyError
 from hermscale.operators import ErrorBreakdown
+from hermscale.quadrature import N_MAX_GRID
 
 
 def synthetic_records(ns, errors):
@@ -94,6 +105,25 @@ class TestParsing:
         again = cli.SweepConfig.from_text(config.to_text())
         assert again == config
 
+    @settings(max_examples=50)
+    @given(gamma=st.floats(min_value=5e-324, allow_infinity=False),
+           h=st.floats(0.55, 30.0),
+           ns=st.sets(st.integers(2, 64), min_size=1),
+           schedule=st.sampled_from(["constant(1)", "power(1,0.375)",
+                                     "logsqrt(30)", "hlog(2.5)"]),
+           measure=st.sampled_from(cli.MEASURES),
+           pad=st.sampled_from(["", " ", "\t ", "  "]),
+           output=st.sampled_from([None, "out.csv", "a b/c=d.csv"]))
+    def test_config_round_trip_exact(self, gamma, h, ns, schedule, measure,
+                                     pad, output):
+        config = cli.SweepConfig(function=f"{pad}algebraic({h!r}){pad}",
+                                 n_values=tuple(sorted(ns)),
+                                 schedule=pad + schedule + pad, gamma=gamma,
+                                 measure=measure, output=output)
+        assert config.function == f"algebraic({h!r})"
+        assert config.schedule == schedule
+        assert cli.SweepConfig.from_text(config.to_text()) == config
+
     def test_config_text_errors(self):
         with pytest.raises(ValueError):
             cli.SweepConfig.from_text("function=algebraic(1)\n")
@@ -102,6 +132,75 @@ class TestParsing:
                                       "schedule=constant(1)\nwhat=3\n")
         with pytest.raises(ValueError):
             cli.parse_config_text("nonsense line")
+
+    def test_settings_defaults_and_conversion(self):
+        config = cli.SweepConfig.from_settings(
+            {"function": "algebraic(1)", "n": "4:8:2", "schedule": "constant(1)"})
+        assert config == cli.SweepConfig(function="algebraic(1)",
+                                         n_values=(4, 6, 8),
+                                         schedule="constant(1)")
+        config = cli.SweepConfig.from_settings(
+            {"function": "algebraic(1)", "n": "4,8", "schedule": "constant(1)",
+             "gamma": "1.2345678", "measure": "l2_discrete", "out": "x.csv"})
+        assert (config.gamma, config.measure, config.output) == \
+            (1.2345678, "l2_discrete", "x.csv")
+        with pytest.raises(ValueError, match="unknown"):
+            cli.SweepConfig.from_settings({"function": "algebraic(1)", "n": "4",
+                                           "schedule": "constant(1)", "beta": "1"})
+        with pytest.raises(ValueError, match="missing"):
+            cli.SweepConfig.from_settings({"function": "algebraic(1)", "n": "4"})
+
+    def test_n_limits(self):
+        with pytest.raises(ValueError):
+            cli.parse_n_list(f"2:{N_MAX_LIMIT + 1}")
+        assert cli.parse_n_list(f"{N_MAX_LIMIT - 1}:{N_MAX_LIMIT}") == \
+            (N_MAX_LIMIT - 1, N_MAX_LIMIT)
+        config = lambda ns, m: cli.SweepConfig(function="algebraic(1)",
+                                               n_values=ns,
+                                               schedule="constant(1)", measure=m)
+        for measure in ("l2_solution", "h1_solution", "l2_discrete"):
+            config((4, N_MAX_GRID), measure)
+            with pytest.raises(ValueError):
+                config((4, N_MAX_GRID + 1), measure)
+        config((4, N_MAX_LIMIT), "l2_projection")
+        with pytest.raises(ValueError):
+            config((4, N_MAX_LIMIT + 1), "l2_projection")
+
+    def test_schedule_checked_against_function_and_every_n(self):
+        make = lambda f, s, ns=(4, 8): cli.SweepConfig(
+            function=f, n_values=ns, schedule=s)
+        with pytest.raises(ValueError):
+            make("gaussian(1)", "hlog(1)")
+        for bad in ("power(1,1e308)", "power(2,1100)", "power(1e308,2)"):
+            with pytest.raises(ValueError):
+                make("algebraic(1)", bad)
+        # 4**500 is finite, 8**500 overflows.
+        make("algebraic(1)", "power(1,500)", (4,))
+        with pytest.raises(ValueError):
+            make("algebraic(1)", "power(1,500)", (4, 8))
+
+
+class TestCsvRoundTrip:
+    @settings(max_examples=50)
+    @given(st.lists(st.tuples(
+        st.floats(min_value=5e-324, allow_infinity=False),
+        st.floats(),
+        st.lists(st.floats(min_value=0.0, allow_infinity=False),
+                 min_size=3, max_size=3)), max_size=8))
+    def test_write_read_exact(self, tmp_path_factory, rows):
+        records = [cli.ConvergenceRecord(n, beta, error, ErrorBreakdown(*parts))
+                   for n, (beta, error, parts) in enumerate(rows, start=2)]
+        path = tmp_path_factory.mktemp("csv") / "r.csv"
+        cli.write_csv(path, records)
+        back = cli.read_csv(path)
+        assert len(back) == len(records)
+        for a, b in zip(back, records):
+            assert (a.n, a.beta, a.flag) == (b.n, b.beta, "")
+            assert a.error == b.error or (math.isnan(a.error) and math.isnan(b.error))
+            assert (a.breakdown.spatial, a.breakdown.frequency,
+                    a.breakdown.hermite) == (b.breakdown.spatial,
+                                             b.breakdown.frequency,
+                                             b.breakdown.hermite)
 
 
 class TestRunSweep:
@@ -250,6 +349,175 @@ class TestMainEntry:
     def test_transition_cli(self, capsys):
         assert cli.main(["transition", "--function", "algebraic",
                          "--h", "1.5"]) == 0
+
+
+def _bad_number():
+    """Non-numeric, non-finite and overflowing argument literals."""
+    return st.one_of(st.sampled_from(["nan", "-nan", "inf", "-inf", "infinity",
+                                      "x", "1..2", "0x10", "1 2"]),
+                     st.builds("{}1e{}".format, st.sampled_from(["", "-"]),
+                               st.integers(309, 10 ** 6)))
+
+
+def _call(names, args):
+    return st.builds(lambda n, a: f"{n}({','.join(a)})", st.sampled_from(names),
+                     st.lists(args, min_size=1, max_size=2))
+
+
+MALFORMED_CALLS = ["", "()", "name", "name(", "name(1", "name)1(", "(1)",
+                   "name(1)(2)", "name((1))", "name[1]"]
+
+GARBAGE_IDS = st.one_of(
+    st.sampled_from(MALFORMED_CALLS + [
+        "algebraic", "algebraic()", "algebraic(1,2)", "gaussian(1,2,3)",
+        "nope(1)", "plain_gaussian()", "gaussian_power(1,2)"]),
+    _call(["algebraic", "plain_gaussian", "gaussian", "gaussian_power"],
+          _bad_number()),
+    (st.floats(max_value=0.5) | st.floats(min_value=30.0, exclude_min=True)
+     ).map(lambda h: f"algebraic({h!r})"),
+    st.floats(max_value=0.0).map(lambda s: f"plain_gaussian({s!r})"),
+    (st.integers(-5, 0) | st.floats(0.0, 1e6).filter(lambda n: not n.is_integer())
+     ).map(lambda n: f"gaussian_power({n!r})"))
+
+GARBAGE_SCHEDULES = st.one_of(
+    st.sampled_from(MALFORMED_CALLS + [
+        "constant", "constant()", "constant(1,2)", "power(1)", "power(1,2,3)",
+        "logsqrt()", "hlog(1,2)", "nope(1)"]),
+    _call(["constant", "power", "logsqrt", "hlog"], _bad_number()),
+    st.floats(max_value=0.0).map(lambda c: f"constant({c!r})"),
+    st.floats(max_value=0.0).map(lambda p: f"power(1,{p!r})"),
+    # beta overflows at N = 4 or N = 8
+    st.floats(min_value=1100.0).map(lambda p: f"power(1,{p!r})"),
+    st.floats(min_value=2.5e307).map(lambda c: f"power({c!r},2)"))
+
+GARBAGE_N_LISTS = st.one_of(
+    st.sampled_from(["", ",", "4,,8", "a", "4;8", "4.5,8", "4,8,", "4:8:0",
+                     "8:4", "1:2:3:4", "4:", ":8", "1e2", "4,8.0"]),
+    # out of range: too small, not increasing, over the grid or basis limit
+    st.sampled_from(["1,4", "0:4", "-3,4", "8,4", "4,4", "4,8,8",
+                     f"4,{N_MAX_GRID + 1}", f"4,{N_MAX_LIMIT + 1}"]),
+    st.integers(N_MAX_GRID + 1, 10 ** 30).map(lambda n: f"4,{n}"))
+
+GARBAGE_FIT_MODELS = st.one_of(
+    st.sampled_from(MALFORMED_CALLS + [
+        "spline", "algebraic(1)", "exp_power", "exp_power()", "exp_power(1,2)",
+        "power(1)"]),
+    _call(["exp_power"], _bad_number()),
+    st.floats(max_value=0.0).map(lambda g: f"exp_power({g!r})"),
+    # 64**g overflows
+    st.floats(min_value=200.0).map(lambda g: f"exp_power({g!r})"))
+
+
+@pytest.fixture(scope="module")
+def fit_csv(tmp_path_factory):
+    path = tmp_path_factory.mktemp("fit") / "fit.csv"
+    ns = (8, 16, 32, 48, 64)
+    cli.write_csv(path, synthetic_records(ns, [n ** -2.0 for n in ns]))
+    return str(path)
+
+
+def _main_quietly(argv):
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        rc = cli.main(argv)
+    return rc, err.getvalue()
+
+
+class TestGarbageExits3:
+    """Malformed, unknown, wrong-arity, non-finite, overflowing and
+    out-of-range input exits 3 before any sweep point is computed; every
+    other setting is a cheap valid one."""
+
+    SWEEP = {"--function": "algebraic(1)", "--n": "4,8",
+             "--schedule": "constant(1)", "--measure": "l2_discrete"}
+
+    def sweep(self, flag=None, value=None):
+        # flag=value, so that a value starting with '-' stays a value
+        return ["sweep"] + [f"{k}={value if k == flag else v}"
+                            for k, v in self.SWEEP.items()]
+
+    @pytest.fixture(autouse=True)
+    def no_sweep_points(self, monkeypatch):
+        def boom(*args):
+            raise AssertionError("a sweep point was computed")
+        monkeypatch.setattr(cli, "error_breakdown", boom)
+
+    def assert_exit_3(self, argv):
+        rc, err = _main_quietly(argv)
+        assert rc == 3, (argv, err)
+        assert "error: " in err, (argv, err)
+
+    def test_valid_sweep_reaches_the_points(self):
+        with pytest.raises(AssertionError, match="sweep point"):
+            _main_quietly(self.sweep())
+
+    @settings(max_examples=30)
+    @given(GARBAGE_IDS)
+    @example("algebraic(inf)")
+    @example("algebraic(1e300)")
+    def test_function(self, text):
+        self.assert_exit_3(self.sweep("--function", text))
+
+    @settings(max_examples=30)
+    @given(GARBAGE_SCHEDULES)
+    @example("power(1,1e308)")
+    def test_schedule(self, text):
+        self.assert_exit_3(self.sweep("--schedule", text))
+
+    @settings(max_examples=30)
+    @given(GARBAGE_N_LISTS)
+    @example(f"4,{N_MAX_GRID + 1}")
+    @example(f"4,{N_MAX_LIMIT + 1}")
+    def test_n_list(self, text):
+        self.assert_exit_3(self.sweep("--n", text))
+
+    @settings(max_examples=30)
+    @given(GARBAGE_FIT_MODELS)
+    def test_fit_model(self, fit_csv, text):
+        self.assert_exit_3(["fit", "--csv", fit_csv, f"--model={text}"])
+
+    @settings(max_examples=30)
+    @given(st.one_of(
+        st.tuples(st.sampled_from(["algebraic", "plain_gaussian", "gaussian",
+                                   "gaussian_power", "nope"]),
+                  st.sampled_from(["nan", "inf", "-inf", "1e400", "x"])),
+        st.tuples(st.just("algebraic"),
+                  (st.floats(max_value=0.5)
+                   | st.floats(min_value=30.0, exclude_min=True)).map(repr)),
+        st.tuples(st.just("nope"), st.just("1"))))
+    @example(("algebraic", "1e300"))
+    def test_transition(self, args):
+        function, h = args
+        self.assert_exit_3(["transition", "--function", function, f"--h={h}"])
+
+
+class TestEntryPoint:
+    """`python -m hermscale.cli` itself: exit codes and no traceback."""
+
+    SRC = Path(__file__).resolve().parents[1] / "src"
+
+    def run(self, *argvs):
+        env = {**os.environ, "PYTHONPATH": str(self.SRC)}
+        procs = [subprocess.Popen([sys.executable, "-m", "hermscale.cli", *argv],
+                                  env=env, stdout=subprocess.PIPE,
+                                  stderr=subprocess.PIPE, text=True)
+                 for argv in argvs]
+        return [(p.returncode, out, err)
+                for p in procs for out, err in [p.communicate(timeout=120)]]
+
+    def test_exit_codes(self):
+        sweep = ["sweep", "--n", "4,8", "--measure", "l2_discrete"]
+        results = self.run(
+            sweep + ["--function", "algebraic(inf)", "--schedule", "constant(1)"],
+            sweep + ["--function", "algebraic(1e300)", "--schedule", "constant(1)"],
+            ["transition", "--h", "1e300"],
+            sweep + ["--function", "algebraic(1)", "--schedule", "power(1,1e308)"],
+            sweep + ["--function", "algebraic(1)", "--schedule", "constant(1)"])
+        for rc, out, err in results[:-1]:
+            assert rc == 3 and "Traceback" not in err and err.startswith("error: "), err
+        rc, out, err = results[-1]
+        assert rc == 0 and err == "", err
+        assert out.splitlines()[0] == cli.CSV_HEADER and len(out.splitlines()) == 3
 
 
 class TestReproduce:

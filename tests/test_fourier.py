@@ -5,7 +5,7 @@ import mpmath
 import numpy as np
 import pytest
 import scipy.special
-from hypothesis import given
+from hypothesis import given, settings
 from hypothesis import strategies as st
 from scipy.integrate import quad
 
@@ -320,12 +320,36 @@ class TestCatalog:
         with pytest.raises(ValueError):
             hs.gaussian_power(0)
 
+    def test_algebraic_domain(self):
+        # Above h = 30 the transform's K factor overflows near k = 0, so the
+        # frequency tail would be inf (h ~ 30.6) or NaN (h = 40).
+        hs.algebraic(30.0)
+        for h in (30.5, 31.0, 40.0, 86.0, 1e300, math.inf, -math.inf, math.nan):
+            with pytest.raises(ValueError):
+                hs.algebraic(h)
+        for sigma in (math.inf, math.nan):
+            with pytest.raises(ValueError):
+                hs.plain_gaussian(sigma)
+
+    @settings(max_examples=25)
+    @given(st.floats(0.55, 30.0))
+    def test_algebraic_plancherel(self, h):
+        # ||F[u]|| = ||u||: both tails at cutoff 0 and the closed-form norm.
+        u = hs.algebraic(h)
+        norm = u.l2_norm
+        assert u.frequency_tail(0.0) == pytest.approx(norm, rel=1e-13, abs=0)
+        assert u.spatial_tail(0.0) == pytest.approx(norm, rel=1e-13, abs=0)
+
     def test_catalog_entry_parser(self):
         assert catalog_entry("algebraic(1.5)").id == "algebraic(1.5)"
         assert catalog_entry("gaussian(1, 0)").id == "gaussian(1,0)"
         assert catalog_entry(" plain_gaussian(2) ").id == "plain_gaussian(2)"
         assert catalog_entry("gaussian_power(4)").id == "gaussian_power(4)"
-        for bad in ("nope(1)", "algebraic", "algebraic()", "gaussian(1,2,3)"):
+        assert catalog_entry("gaussian_power(4.0)").id == "gaussian_power(4)"
+        for bad in ("nope(1)", "algebraic", "algebraic()", "gaussian(1,2,3)",
+                    "algebraic(inf)", "algebraic(nan)", "algebraic(1e400)",
+                    "algebraic(1e300)", "plain_gaussian(inf)", "gaussian(1,inf)",
+                    "gaussian_power(2.5)", "algebraic(x)"):
             with pytest.raises(ValueError):
                 catalog_entry(bad)
 
