@@ -16,7 +16,7 @@ from .errors import (AccuracyError, BracketError, DegenerateBalanceError,
                      HermscaleError)
 from .fourier import (DecayMeta, TestFunction, algebraic, algebraic_transform,
                       bessel_k, catalog_entry, gaussian, gaussian_power,
-                      numerical_fourier, plain_gaussian, tail_norm)
+                      plain_gaussian, tail_norm)
 from .galerkin import (GalerkinSystem, ModelProblem, assemble,
                        discrete_solution_error, manufactured_problem,
                        solution_error, solve)
@@ -38,7 +38,7 @@ __all__ = [
     "eval_hermite_functions", "eval_scaled_basis", "fourier_dual_coeffs",
     "gaussian", "gaussian_coefficients", "gaussian_coefficients_recurrence",
     "gaussian_power", "indicator_sum", "interpolate", "interpolation_error",
-    "manufactured_problem", "numerical_fourier", "plain_gaussian", "project",
+    "manufactured_problem", "plain_gaussian", "project",
     "projection_error", "solution_error", "solve", "synthesis", "synthesize",
     "tail_norm", "transition_point",
 ]

@@ -20,6 +20,9 @@ from dataclasses import dataclass
 import numpy as np
 
 N_MAX_LIMIT = 100_000
+# Supported scaling factors: beta**2, N * beta**2 and sqrt(N) / beta stay
+# finite and normal for every N up to N_MAX_LIMIT.
+BETA_MIN, BETA_MAX = 1e-100, 1e100
 
 _PI_M4 = np.pi ** -0.25
 _LN2 = np.log(2.0)
@@ -42,8 +45,9 @@ class ScaledBasis:
             raise ValueError(f"n_max must be a non-negative integer, got {self.n_max}")
         if self.n_max > N_MAX_LIMIT:
             raise ValueError(f"n_max={self.n_max} exceeds guard limit {N_MAX_LIMIT}")
-        if not (np.isfinite(self.beta) and self.beta > 0):
-            raise ValueError(f"beta must be positive and finite, got {self.beta}")
+        if not BETA_MIN <= self.beta <= BETA_MAX:
+            raise ValueError(f"beta={self.beta} at N={self.n_max} is outside "
+                             f"[{BETA_MIN:g}, {BETA_MAX:g}]")
 
     @property
     def size(self) -> int:

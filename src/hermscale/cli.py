@@ -74,8 +74,7 @@ class SweepConfig:
                 beta = schedule(n)
             except OverflowError:
                 beta = math.inf
-            if not (math.isfinite(beta) and beta > 0):
-                raise ValueError(f"schedule {self.schedule} gives beta={beta} at N={n}")
+            ScaledBasis(n, beta)
 
     def to_text(self) -> str:
         lines = [f"function={self.function}",

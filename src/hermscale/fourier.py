@@ -24,11 +24,9 @@ from functools import lru_cache, partial
 from typing import Callable, Optional
 
 import numpy as np
-from scipy.integrate import quad
 from scipy.interpolate import CubicSpline, PPoly
 
-from ._integrate import gauss_legendre_cos_samples
-from .errors import AccuracyError
+from ._integrate import adaptive_quad, gauss_legendre_cos_samples
 
 _SQRT_PI = math.sqrt(math.pi)
 _SQRT_HALF_PI = math.sqrt(math.pi / 2.0)
@@ -77,46 +75,21 @@ def algebraic_transform(h: float, k):
 
     2**(1-h) * |k|**(h-1/2) * K_{h-1/2}(|k|) / Gamma(h); where |k|**min(2h-1, 2)
     < 1e-18 its k -> 0 limit Gamma(h-1/2) / (sqrt(2) * Gamma(h)) agrees with it
-    to rounding and is used instead.  Array k; a scalar k returns a float.
+    to rounding and is used instead, and where it underflows it is 0.  Array k;
+    a scalar k returns a float.
     """
     if h <= 0.5:
         raise ValueError(f"algebraic_transform requires h > 1/2, got {h}")
     nu = h - 0.5
     k = np.abs(np.asarray(k, dtype=float))
-    out = np.full(k.shape, math.gamma(nu) / (math.sqrt(2.0) * math.gamma(h)))
-    far = ~(k <= math.exp(-20.7 / min(nu, 1.0)))  # NaN goes on to bessel_k
+    near = k <= math.exp(-20.7 / min(nu, 1.0))
+    # Where nu*ln(k) - k < -800 the value underflows for every h <= 30: exact
+    # zero there, not an overflowing k**nu times a zero K.
+    gone = k > 800.0 + nu * np.log(np.maximum(k, 1.0))
+    out = np.where(near, math.gamma(nu) / (math.sqrt(2.0) * math.gamma(h)), 0.0)
+    far = ~(near | gone)  # NaN goes on to bessel_k
     out[far] = 2.0 ** (1.0 - h) * k[far] ** nu * bessel_k(nu, k[far]) / math.gamma(h)
     return float(out) if out.ndim == 0 else out
-
-
-def numerical_fourier(u: Callable, k: float, tol: float = 1e-10) -> float:
-    """Cosine-part Fourier transform of u at frequency k, to absolute tol.
-
-    Evaluates (2*pi)**(-1/2) * integral u_e(x) * exp(-i*k*x) dx where u_e is
-    the even symmetrization of u; for even u this is the full transform.
-    Backed by QUADPACK's Fourier-integral routine (oscillation-aware panels
-    plus tail extrapolation).
-    """
-    if tol < 1e-12:
-        raise ValueError(f"tol must be >= 1e-12, got {tol}")
-
-    def g(x):
-        return 0.5 * (u(x) + u(-x))
-
-    scale = math.sqrt(2.0 / math.pi)
-    eps = tol / (2.0 * scale)
-    if k == 0.0:
-        out = quad(g, 0.0, np.inf, epsabs=eps, epsrel=1e-13,
-                   limit=400, full_output=1)
-    else:
-        out = quad(g, 0.0, np.inf, weight="cos", wvar=abs(k),
-                   epsabs=eps, limlst=120, limit=200, full_output=1)
-    val, err = out[0], out[1]
-    if err > max(2.0 * eps, 1e-13 + 1e-11 * abs(val)):
-        raise AccuracyError(f"numerical Fourier transform at k={k} did not "
-                            f"reach tol={tol}", achieved=scale * err,
-                            value=scale * val)
-    return scale * val
 
 
 def _cutoff(c: float) -> float:
@@ -126,14 +99,23 @@ def _cutoff(c: float) -> float:
     return c
 
 
-def tail_norm(f: Callable, cutoff: float, tol: float = 1e-10) -> float:
-    """(2 * integral_cutoff^inf f(x)**2 dx)**(1/2) for even-|f| functions."""
-    val, err = quad(lambda x: f(x) ** 2, _cutoff(cutoff), np.inf,
-                    epsabs=0.25 * tol * tol, epsrel=1e-11, limit=400, full_output=1)[:2]
-    if err > 0.25 * tol * tol + 1e-10 * abs(val):
-        raise AccuracyError(f"tail integral from cutoff={cutoff} did not "
-                            f"converge", achieved=err, value=val)
-    return math.sqrt(max(2.0 * val, 0.0))
+def tail_norm(f: Callable, cutoff: float) -> float:
+    """(2 * integral_cutoff^inf |f(x)|**2 dx)**(1/2) for even-|f| functions f
+    that take arrays.
+
+    Adaptive Gauss-Kronrod in t on [0, 1) with x = c + (1+c)*((1-t)**-2 - 1),
+    which turns (1+x**2)**(-2h) decay into a mild power of 1 - t; relative
+    tolerance 1e-11, AccuracyError when that is not reached.
+    """
+    c = _cutoff(cutoff)
+
+    def mapped(t):
+        r = 1.0 / (1.0 - t)
+        v = np.asarray(f(c + (1.0 + c) * (r * r - 1.0)))
+        return (v * np.conj(v)).real * (2.0 * (1.0 + c) * r ** 3)
+
+    return math.sqrt(2.0 * adaptive_quad(mapped, 0.0, 1.0, abs_tol=1e-300, rel_tol=1e-11,
+                                         label=f"tail from cutoff={cutoff}"))
 
 
 # ---------------------------------------------------------------------------
@@ -194,13 +176,13 @@ def _derived_entry(parent: TestFunction, eval_v, eval_dv=None,
                    meta: DecayMeta = None) -> TestFunction:
     """Derivative entry with oracle-backed tails where no closed form exists.
 
-    F[v] = i*k*F[u], so the frequency tail integrates (k * parent.Fu(k))**2.
+    F[v] = i*k*F[u], so the frequency tail integrates |k * parent.Fu(k)|**2.
     """
     if spatial_tail is None:
-        spatial_tail = lambda m: tail_norm(eval_v, m, 1e-9)
+        spatial_tail = partial(tail_norm, eval_v)
     fu = lambda k: k * parent.eval_Fu(k)
     if frequency_tail is None:
-        frequency_tail = lambda kc: tail_norm(fu, kc, 1e-9)
+        frequency_tail = partial(tail_norm, fu)
 
     def chain():
         return _derived_entry(entry, eval_dv)
@@ -299,36 +281,6 @@ def gaussian(freq: float, shift: float = 0.0) -> TestFunction:
     )
 
 
-def _inverse_quadratic_tail(m: float, cutoff: float) -> float:
-    """integral_cutoff^inf (1+x**2)**(-m) dx.
-
-    Integer m at moderate cutoff: integration-by-parts reduction down to
-    arctan.  Large cutoff (where the reduction cancels catastrophically):
-    the substitution x -> 1/x gives the rapidly converging series
-    sum_j (-1)**j C(m+j-1, j) * u**(2m-1+2j) / (2m-1+2j),  u = 1/cutoff.
-    """
-    if cutoff > 3.0:
-        u = 1.0 / cutoff
-        u2 = u * u
-        coeff = 1.0
-        power = u ** (2.0 * m - 1.0)
-        total = 0.0
-        for j in range(60):
-            term = coeff * power / (2.0 * m - 1.0 + 2.0 * j)
-            total += term
-            if abs(term) < 1e-17 * abs(total):
-                break
-            coeff *= -(m + j) / (j + 1.0)
-            power *= u2
-        return total
-    m_int = int(round(m))
-    j = math.pi / 2.0 - math.atan(cutoff)
-    for mm in range(2, m_int + 1):
-        j = ((2 * mm - 3) * j
-             - cutoff * (1.0 + cutoff * cutoff) ** (1 - mm)) / (2 * mm - 2)
-    return j
-
-
 def algebraic(h: float) -> TestFunction:
     """u(x) = (1+x**2)**(-h), 1/2 < h <= 30: algebraic spatial decay,
     exponential (rate-1) frequency decay via the Bessel-K transform (whose
@@ -348,12 +300,7 @@ def algebraic(h: float) -> TestFunction:
         q = 1.0 + x * x
         return (4.0 * h * (h + 1.0) * x * x - 2.0 * h * q) * q ** (-h - 2.0)
 
-    two_h = 2.0 * h
-    if abs(two_h - round(two_h)) < 1e-12 and 2 <= round(two_h) <= 6:
-        m = int(round(two_h))
-        spatial = lambda c: math.sqrt(2.0 * _inverse_quadratic_tail(m, _cutoff(c)))
-    else:
-        spatial = lambda c: tail_norm(u, c, 1e-10)
+    spatial = partial(tail_norm, u)
 
     if h == 1.0:
         frequency = lambda k: _SQRT_HALF_PI * math.exp(-_cutoff(k))
@@ -376,7 +323,7 @@ def algebraic(h: float) -> TestFunction:
         id=f"algebraic({h:g})",
         eval_u=u, eval_Fu=partial(algebraic_transform, h),
         spatial_tail=spatial, frequency_tail=frequency,
-        l2_norm=math.sqrt(_SQRT_PI * math.gamma(two_h - 0.5) / math.gamma(two_h)),
+        l2_norm=math.sqrt(_SQRT_PI * math.gamma(2.0 * h - 0.5) / math.gamma(2.0 * h)),
         decay_meta=DecayMeta("algebraic", h, "exponential", 1.0),
         eval_du=du, eval_d2u=d2u,
         derivative_factory=deriv,
@@ -400,7 +347,8 @@ def gaussian_power(n: int) -> TestFunction:
     For n = 1 everything is in closed form.  For n >= 2 no closed-form
     transform exists; F[u] is sampled once on a dense frequency grid (stopped
     where the oscillation envelope drops below 1e-15) and carried as a cubic
-    spline, whose exact square/antiderivative supplies the frequency tail.
+    spline, whose exact square/antiderivative supplies the frequency tail;
+    the spatial tail and the norm come from tail_norm.
     """
     if not isinstance(n, (int, np.integer)) or n < 1:
         raise ValueError(f"gaussian_power requires a positive integer, got {n}")
@@ -408,17 +356,21 @@ def gaussian_power(n: int) -> TestFunction:
     two_n = 2 * n
     freq_rate = two_n / (two_n - 1.0)
 
-    def u(x):
-        return np.exp(-np.asarray(x, dtype=float) ** two_n)
+    # u < 1e-320 beyond x_hi: the evaluators return exact zeros there, where
+    # x**(2n) and the derivative factors would overflow.
+    x_hi = 737.0 ** (1.0 / two_n)
 
-    def du(x):
-        x = np.asarray(x, dtype=float)
-        return -two_n * x ** (two_n - 1) * np.exp(-(x ** two_n))
+    def inside(ev):
+        def f(x):
+            x = np.asarray(x, dtype=float)
+            keep = ~(np.abs(x) >= x_hi)  # NaN goes on
+            return np.where(keep, ev(np.where(keep, x, 0.0)), 0.0)
+        return f
 
-    def d2u(x):
-        x = np.asarray(x, dtype=float)
-        return ((two_n * x ** (two_n - 1)) ** 2
-                - two_n * (two_n - 1) * x ** (two_n - 2)) * np.exp(-(x ** two_n))
+    u = inside(lambda x: np.exp(-x ** two_n))
+    du = inside(lambda x: -two_n * x ** (two_n - 1) * np.exp(-x ** two_n))
+    d2u = inside(lambda x: ((two_n * x ** (two_n - 1)) ** 2
+                            - two_n * (two_n - 1) * x ** (two_n - 2)) * np.exp(-x ** two_n))
 
     if n == 1:
         sig = math.sqrt(0.5)  # exp(-x**2) = exp(-x**2/(2*sig**2))
@@ -427,13 +379,10 @@ def gaussian_power(n: int) -> TestFunction:
         frequency = lambda k: math.sqrt(sig * _SQRT_PI * math.erfc(sig * k))
         l2 = math.sqrt(sig * _SQRT_PI)
     else:
-        # u < 1e-320 beyond this point; everything happens inside [0, x_hi].
-        x_hi = 737.0 ** (1.0 / two_n)
         dk = 0.02
         block = 400
         k_grid = [np.array([0.0])]
-        f_grid = [np.array([2.0 * quad(u, 0.0, x_hi, epsabs=1e-15)[0]
-                            / math.sqrt(2.0 * math.pi)])]
+        f_grid = [gauss_legendre_cos_samples(u, x_hi, [0.0])]
         k_lo = 0.0
         while True:
             ks = k_lo + dk * np.arange(1, block + 1)
@@ -449,7 +398,6 @@ def gaussian_power(n: int) -> TestFunction:
         spline = CubicSpline(k_s, f_s)
         k_max = k_s[-1]
         sq_anti = _square_ppoly(spline).antiderivative()
-        sq_total = float(sq_anti(k_max) - sq_anti(0.0))
 
         def fu(k):
             k = np.abs(np.asarray(k, dtype=float))
@@ -460,15 +408,8 @@ def gaussian_power(n: int) -> TestFunction:
                 return 0.0
             return math.sqrt(max(2.0 * float(sq_anti(k_max) - sq_anti(kc)), 0.0))
 
-        def spatial(m):
-            if m >= x_hi:
-                return 0.0
-            val, _ = quad(lambda x: math.exp(-2.0 * x ** two_n), m, x_hi,
-                          epsabs=1e-16, epsrel=1e-12, limit=200)
-            return math.sqrt(max(2.0 * val, 0.0))
-
-        l2 = math.sqrt(2.0 * quad(lambda x: math.exp(-2.0 * x ** two_n),
-                                  0.0, x_hi, epsabs=1e-16, epsrel=1e-13)[0])
+        spatial = partial(tail_norm, u)
+        l2 = spatial(0.0)
 
     def deriv():
         return _derived_entry(

@@ -16,6 +16,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from functools import partial
 from typing import Optional
 
 import numpy as np
@@ -124,16 +125,13 @@ def manufactured_problem(exact: TestFunction, gamma: float = 1.0) -> ModelProble
     def f_transform(k):
         return (gamma + np.asarray(k) ** 2) * exact.eval_Fu(k)
 
-    def f_frequency_tail(kc):
-        return tail_norm(f_transform, kc, 1e-9)
-
     rhs = TestFunction(
         id=f"rhs[{exact.id},gamma={gamma:g}]",
         eval_u=f_eval,
         eval_Fu=f_transform,
-        spatial_tail=lambda m: tail_norm(f_eval, m, 1e-9),
-        frequency_tail=f_frequency_tail,
-        l2_norm=tail_norm(f_eval, 0.0, 1e-9),
+        spatial_tail=partial(tail_norm, f_eval),
+        frequency_tail=partial(tail_norm, f_transform),
+        l2_norm=tail_norm(f_eval, 0.0),
         decay_meta=exact.decay_meta,
     )
     return ModelProblem(gamma=gamma, rhs=rhs, exact=exact)
@@ -168,11 +166,7 @@ def solution_error(coeffs: SpectralCoeffs, exact: TestFunction,
     if exact.eval_du is None:
         raise ValueError(f"{exact.id}: derivative evaluator required for the "
                          "H1 error")
-    dcoeffs = differentiate(coeffs)
-    if exact.derivative_factory is not None:
-        d_tail = exact.derivative().spatial_tail
-    else:
-        d_tail = lambda m: tail_norm(exact.eval_du, m, 1e-9)
-    dl2 = residual_l2(exact.eval_du, d_tail, dcoeffs, rel_tol=rel_tol)
+    dl2 = residual_l2(exact.eval_du, partial(tail_norm, exact.eval_du),
+                      differentiate(coeffs), rel_tol=rel_tol)
     out["h1"] = math.sqrt(l2 * l2 + dl2 * dl2)
     return out

@@ -6,12 +6,16 @@ integrator, so inner products asserted in tests are measured by machinery
 the library does not use for them.
 """
 
+import math
+from typing import Callable
+
 import numpy as np
 import pytest
 from hypothesis import settings
 from scipy.integrate import quad
 
 import hermscale as hs
+from hermscale.errors import AccuracyError
 
 # Fixed example sequence: the property tests draw the same inputs every run.
 settings.register_profile("hermscale", derandomize=True, deadline=None)
@@ -42,6 +46,36 @@ def gram_matrix_by_quadrature(basis, size, tol=1e-12):
             g[m, n] = g[n, m] = quad(integrand, -cut, cut, epsabs=tol,
                                      epsrel=1e-12, limit=800)[0]
     return g
+
+
+def numerical_fourier(u: Callable, k: float, tol: float = 1e-10) -> float:
+    """Cosine-part Fourier transform of u at frequency k, to absolute tol.
+
+    Evaluates (2*pi)**(-1/2) * integral u_e(x) * exp(-i*k*x) dx where u_e is
+    the even symmetrization of u; for even u this is the full transform.
+    Backed by QUADPACK's Fourier-integral routine (oscillation-aware panels
+    plus tail extrapolation).
+    """
+    if tol < 1e-12:
+        raise ValueError(f"tol must be >= 1e-12, got {tol}")
+
+    def g(x):
+        return 0.5 * (u(x) + u(-x))
+
+    scale = math.sqrt(2.0 / math.pi)
+    eps = tol / (2.0 * scale)
+    if k == 0.0:
+        out = quad(g, 0.0, np.inf, epsabs=eps, epsrel=1e-13,
+                   limit=400, full_output=1)
+    else:
+        out = quad(g, 0.0, np.inf, weight="cos", wvar=abs(k),
+                   epsabs=eps, limlst=120, limit=200, full_output=1)
+    val, err = out[0], out[1]
+    if err > max(2.0 * eps, 1e-13 + 1e-11 * abs(val)):
+        raise AccuracyError(f"numerical Fourier transform at k={k} did not "
+                            f"reach tol={tol}", achieved=scale * err,
+                            value=scale * val)
+    return scale * val
 
 
 @pytest.fixture(scope="session")

@@ -7,10 +7,11 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 import hermscale as hs
-from hermscale.basis import ScaledBasis, SpectralCoeffs
+from hermscale.basis import (BETA_MAX, BETA_MIN, N_MAX_LIMIT, ScaledBasis,
+                             SpectralCoeffs)
 from hermscale.operators import support_radius
 
-from conftest import gram_matrix_by_quadrature
+from conftest import gram_matrix_by_quadrature, numerical_fourier
 
 PI_M4 = np.pi ** -0.25
 
@@ -133,6 +134,17 @@ class TestScaledBasis:
             ScaledBasis(4, 0.0)
         with pytest.raises(ValueError):
             ScaledBasis(4, np.inf)
+
+    def test_beta_range(self):
+        # Inside the range beta**2 * N and sqrt(N) / beta stay finite and normal.
+        for beta in (BETA_MIN, BETA_MAX):
+            system = hs.assemble(ScaledBasis(N_MAX_LIMIT, beta), 1.0)
+            assert np.all(np.isfinite(system.diag)) and np.all(np.isfinite(system.offdiag2))
+            assert abs(system.offdiag2[0]) >= np.finfo(float).tiny
+        for beta in (1e155, 1e-160, 1.0001 * BETA_MAX, 0.9999 * BETA_MIN,
+                     -1.0, np.nan):
+            with pytest.raises(ValueError):
+                ScaledBasis(4, beta)
 
 
 class TestSynthesize:
@@ -297,7 +309,7 @@ class TestFourierDuality:
             return hs.synthesize(real_coeffs, np.asarray(x, dtype=float))
 
         for k in (0.0, 1.0, -1.0, 2.0, -2.0):
-            direct = hs.numerical_fourier(synth_u, k, tol=1e-11)
+            direct = numerical_fourier(synth_u, k, tol=1e-11)
             via_duality = float(hs.synthesize(dual_real, np.asarray(k)))
             assert abs(direct - via_duality) < 1e-8
 

@@ -174,10 +174,10 @@ class TestParsing:
         for bad in ("power(1,1e308)", "power(2,1100)", "power(1e308,2)"):
             with pytest.raises(ValueError):
                 make("algebraic(1)", bad)
-        # 4**500 is finite, 8**500 overflows.
-        make("algebraic(1)", "power(1,500)", (4,))
+        # 4**166 lies inside the beta range, 8**166 does not.
+        make("algebraic(1)", "power(1,166)", (4,))
         with pytest.raises(ValueError):
-            make("algebraic(1)", "power(1,500)", (4, 8))
+            make("algebraic(1)", "power(1,166)", (4, 8))
 
 
 class TestCsvRoundTrip:
@@ -512,12 +512,21 @@ class TestEntryPoint:
             sweep + ["--function", "algebraic(1e300)", "--schedule", "constant(1)"],
             ["transition", "--h", "1e300"],
             sweep + ["--function", "algebraic(1)", "--schedule", "power(1,1e308)"],
+            sweep + ["--function", "algebraic(1)", "--schedule", "constant(1e155)"],
+            sweep + ["--function", "algebraic(1)", "--schedule", "constant(1e-160)"],
             sweep + ["--function", "algebraic(1)", "--schedule", "constant(1)"])
         for rc, out, err in results[:-1]:
             assert rc == 3 and "Traceback" not in err and err.startswith("error: "), err
+            assert "RuntimeWarning" not in err, err
         rc, out, err = results[-1]
         assert rc == 0 and err == "", err
         assert out.splitlines()[0] == cli.CSV_HEADER and len(out.splitlines()) == 3
+
+    def test_import_leaves_out_scipy_integrate(self):
+        env = {**os.environ, "PYTHONPATH": str(self.SRC)}
+        code = "import sys, hermscale.cli; sys.exit('scipy.integrate' in sys.modules)"
+        assert subprocess.run([sys.executable, "-c", code], env=env,
+                              timeout=120).returncode == 0
 
 
 class TestReproduce:

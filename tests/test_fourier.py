@@ -1,16 +1,20 @@
 import math
 import tracemalloc
+import warnings
 
 import mpmath
 import numpy as np
 import pytest
 import scipy.special
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 from scipy.integrate import quad
 
 import hermscale as hs
+from hermscale import cli, fourier
 from hermscale.fourier import catalog_entry
+
+from conftest import numerical_fourier
 
 
 def algebraic_frequency_tail_by_quad(h, kc):
@@ -126,7 +130,7 @@ class TestAlgebraicTransform:
     def test_matches_numerical_transform(self):
         u = lambda x: (1.0 + x * x) ** -2.0
         assert abs(hs.algebraic_transform(2.0, 1.0)
-                   - hs.numerical_fourier(u, 1.0, 1e-10)) < 1e-7
+                   - numerical_fourier(u, 1.0, 1e-10)) < 1e-7
 
     def test_zero_frequency_limit(self):
         # Direct-integral limit equals Gamma(h-1/2)/(sqrt(2)*Gamma(h)).
@@ -160,21 +164,21 @@ class TestAlgebraicTransform:
 class TestNumericalFourier:
     def test_gaussian_at_zero(self):
         u = lambda x: np.exp(-np.asarray(x) ** 2 / 2.0)
-        assert hs.numerical_fourier(u, 0.0, 1e-11) == pytest.approx(1.0, abs=1e-10)
+        assert numerical_fourier(u, 0.0, 1e-11) == pytest.approx(1.0, abs=1e-10)
 
     def test_gaussian_at_one(self):
         u = lambda x: np.exp(-np.asarray(x) ** 2 / 2.0)
-        assert hs.numerical_fourier(u, 1.0, 1e-11) == \
+        assert numerical_fourier(u, 1.0, 1e-11) == \
             pytest.approx(math.exp(-0.5), abs=1e-10)
 
     def test_lorentzian_closed_form(self):
         u = lambda x: 1.0 / (1.0 + np.asarray(x) ** 2)
         expect = math.sqrt(math.pi / 2.0) * math.exp(-3.0)
-        assert hs.numerical_fourier(u, 3.0, 1e-11) == pytest.approx(expect, abs=1e-10)
+        assert numerical_fourier(u, 3.0, 1e-11) == pytest.approx(expect, abs=1e-10)
 
     def test_tolerance_floor(self):
         with pytest.raises(ValueError):
-            hs.numerical_fourier(lambda x: np.exp(-x * x), 1.0, 1e-13)
+            numerical_fourier(lambda x: np.exp(-x * x), 1.0, 1e-13)
 
 
 class TestTailNorm:
@@ -183,25 +187,47 @@ class TestTailNorm:
         for m in (0.0, 1.0, 2.5):
             expect = math.sqrt(math.pi / 2.0 - math.atan(m) - m / (1.0 + m * m))
             f = lambda x: 1.0 / (1.0 + x * x)
-            assert hs.tail_norm(f, m, 1e-10) == pytest.approx(expect, abs=1e-10)
-        assert hs.tail_norm(lambda x: 1.0 / (1.0 + x * x), 1.0, 1e-10) == \
+            assert hs.tail_norm(f, m) == pytest.approx(expect, abs=1e-10)
+        assert hs.tail_norm(lambda x: 1.0 / (1.0 + x * x), 1.0) == \
             pytest.approx(0.535, abs=1e-3)
 
     def test_zero_cutoff_returns_norm(self):
-        f = lambda x: math.exp(-x * x / 2.0)
-        assert hs.tail_norm(f, 0.0, 1e-10) == pytest.approx(np.pi ** 0.25, abs=1e-9)
+        f = lambda x: np.exp(-x * x / 2.0)
+        assert hs.tail_norm(f, 0.0) == pytest.approx(np.pi ** 0.25, abs=1e-9)
 
     def test_exponential_frequency_tail(self):
-        f = lambda k: math.sqrt(math.pi / 2.0) * math.exp(-abs(k))
+        f = lambda k: math.sqrt(math.pi / 2.0) * np.exp(-abs(k))
         expect = math.sqrt(math.pi / 2.0) * math.exp(-2.0)
-        assert hs.tail_norm(f, 2.0, 1e-10) == pytest.approx(expect, abs=1e-9)
+        assert hs.tail_norm(f, 2.0) == pytest.approx(expect, abs=1e-9)
         assert expect == pytest.approx(0.16964, abs=5e-5)
 
     def test_negative_cutoff_rejected(self):
         with pytest.raises(ValueError):
-            hs.tail_norm(lambda x: x, -1.0, 1e-10)
+            hs.tail_norm(lambda x: x, -1.0)
         with pytest.raises(ValueError):
-            hs.tail_norm(lambda x: x, math.nan, 1e-10)
+            hs.tail_norm(lambda x: x, math.nan)
+
+    def test_complex_integrand_uses_modulus(self):
+        # |u|**2, not Re(u**2): the modulated Gaussian's tail is its erfc form.
+        u = hs.gaussian(1.0, 0.0)
+        for c in (0.0, 0.5, 2.0, 5.0):
+            assert hs.tail_norm(u.eval_u, c) == \
+                pytest.approx(u.spatial_tail(c), rel=1e-12, abs=0.0)
+
+    def test_tiny_tail_keeps_its_digits(self):
+        # 40-digit mpmath quadrature of 2 * int_2^inf exp(-2 x**8) dx, square root.
+        assert hs.gaussian_power(4).spatial_tail(2.0) == \
+            pytest.approx(2.0658205318422145e-113, rel=1e-10, abs=0.0)
+
+    def test_array_frequency_integrand(self, monkeypatch):
+        # One array call per batch of abscissae, not one Bessel-K call each.
+        du = hs.algebraic(1.5).derivative()
+        calls = []
+        real = fourier.bessel_k
+        monkeypatch.setattr(fourier, "bessel_k",
+                            lambda nu, x: calls.append(1) or real(nu, x))
+        du.frequency_tail(1.0)
+        assert 1 <= len(calls) <= 3
 
 
 class TestAlgebraicTails:
@@ -241,7 +267,7 @@ class TestCatalog:
             if u.complex_valued:
                 continue
             for k in (0.5, 1.0, 2.0, 5.0):
-                direct = hs.numerical_fourier(u.eval_u, k, 1e-9)
+                direct = numerical_fourier(u.eval_u, k, 1e-9)
                 assert abs(float(u.eval_Fu(k)) - direct) < 1e-6, (u.id, k)
 
     def test_modulated_gaussian_transform_oracle(self):
@@ -251,7 +277,7 @@ class TestCatalog:
         for xi in (0.0, 1.0, 2.5):
             w = 1.5 - xi
             env = lambda y: np.exp(-np.asarray(y) ** 2 / 2.0)
-            cos_part = hs.numerical_fourier(env, w, 1e-11)  # even integrand
+            cos_part = numerical_fourier(env, w, 1e-11)  # even integrand
             expect = np.exp(1j * w * 0.7) * cos_part
             assert abs(complex(u.eval_Fu(xi)) - expect) < 1e-9
 
@@ -299,7 +325,7 @@ class TestCatalog:
         # closed-form tails against the generic adaptive oracle
         for m in (0.0, 1.0, 2.5):
             assert du.spatial_tail(m) == \
-                pytest.approx(hs.tail_norm(u.eval_du, m, 1e-10), abs=1e-8)
+                pytest.approx(hs.tail_norm(u.eval_du, m), abs=1e-8)
         # Parseval for the derivative: ||u'|| = ||k F[u]||
         assert abs(du.spatial_tail(0.0) - du.frequency_tail(0.0)) < 1e-8
         with pytest.raises(ValueError):
@@ -330,6 +356,40 @@ class TestCatalog:
         for sigma in (math.inf, math.nan):
             with pytest.raises(ValueError):
                 hs.plain_gaussian(sigma)
+
+    @settings(max_examples=60)
+    @given(st.floats(0.5, 30.0, exclude_min=True), st.floats(0.0, 1e4))
+    def test_algebraic_spatial_tail_matches_betainc(self, h, c):
+        # int_c^inf (1+x**2)**(-2h) dx = B(2h-1/2, 1/2) I_{1/(1+c**2)}(2h-1/2, 1/2) / 2;
+        # below c = 1 through I_x(a, b) = 1 - I_{1-x}(b, a), where 1 - x is exact.
+        a = 2.0 * h - 0.5
+        q = 1.0 + c * c
+        ratio = (scipy.special.betainc(a, 0.5, 1.0 / q) if c >= 1.0
+                 else scipy.special.betaincc(0.5, a, c * c / q))
+        half_sq = 0.5 * scipy.special.beta(a, 0.5) * ratio
+        assume(half_sq > 1e-150)
+        assert hs.algebraic(h).spatial_tail(c) == \
+            pytest.approx(math.sqrt(2.0 * half_sq), rel=1e-12, abs=0.0)
+
+    @settings(max_examples=40)
+    @given(st.integers(1, 40), st.floats(0.5, 30.0, exclude_min=True),
+           st.lists(st.floats(-1e12, 1e12), max_size=16))
+    def test_evaluators_finite(self, n, h, xs):
+        # Exact zeros where a value underflows, never inf * 0 or an overflow.
+        x = np.r_[xs, 0.0, 1.0, 90.0, 1.9e6, 2.9e10, -1e12, 1e12]
+        for u in (hs.gaussian_power(n), hs.algebraic(h)):
+            for ev in (u.eval_u, u.eval_du, u.eval_d2u, u.eval_Fu):
+                with warnings.catch_warnings():
+                    warnings.simplefilter("error")
+                    assert np.all(np.isfinite(ev(x))), (u.id, ev)
+
+    def test_high_power_entries_usable(self):
+        # Both sample eval_du / eval_d2u where x**(2n-1) alone would overflow.
+        assert math.isfinite(hs.gaussian_power(25).derivative().l2_norm)
+        config = cli.SweepConfig(function="gaussian_power(40)", n_values=(64,),
+                                 schedule="constant(0.1)", measure="l2_discrete")
+        (record,) = cli.run_sweep(config)
+        assert not record.flag and math.isfinite(record.error)
 
     @settings(max_examples=25)
     @given(st.floats(0.55, 30.0))

@@ -195,6 +195,17 @@ class TestSolutionError:
             err = galerkin.solution_error(c, u)
             assert err["h1"] >= err["l2"]
 
+    def test_complex_entry_h1(self):
+        # gaussian(k, s) has no derivative entry; its derivative tail is the
+        # tail of |u'|, so the full-line H1 error of an exact-to-rounding
+        # expansion is as small as its L2 error.
+        u = hs.gaussian(1.0, 0.5)
+        basis = ScaledBasis(64, 1.0)
+        c = hs.interpolate(u, basis, compute_grid(64))
+        err = galerkin.solution_error(c, u)
+        assert err["l2"] < 1e-10
+        assert err["l2"] <= err["h1"] < 1e-8
+
     def test_requires_derivative(self):
         u = hs.algebraic(1.0)
         problem = galerkin.manufactured_problem(u, 1.0)
