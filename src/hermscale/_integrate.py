@@ -149,17 +149,17 @@ def adaptive_quad(f, a, b, abs_tol=1e-12, rel_tol=1e-10, points=None,
 _GL64 = np.polynomial.legendre.leggauss(64)
 
 
-def gauss_legendre_cos_samples(u, x_hi, k_values, points_per_period=10,
-                               min_points=128):
+def gauss_legendre_cos_samples(u, x_hi, k_values):
     """Cosine-transform samples (2/sqrt(2*pi)) * int_0^{x_hi} u(x) cos(k x) dx.
 
     Composite 64-point Gauss-Legendre panels sized so the fastest requested
-    oscillation gets `points_per_period` abscissae; one weight/value vector
-    is shared across all k.  Accuracy is roundoff-limited (~1e-14 * scale).
+    oscillation gets 10 abscissae per period, and at least 128 in all; one
+    weight/value vector is shared across all k.  Accuracy is roundoff-limited
+    (~1e-14 * scale).
     """
     k = np.asarray(k_values, dtype=float)
     k_top = float(np.max(np.abs(k))) if k.size else 0.0
-    need = int(points_per_period * k_top * x_hi / (2.0 * np.pi)) + min_points
+    need = int(10 * k_top * x_hi / (2.0 * np.pi)) + 128
     panels = -(-need // 64)
     edges = np.linspace(0.0, x_hi, panels + 1)
     half = 0.5 * np.diff(edges)

@@ -117,13 +117,17 @@ def _hermite_rows(x: np.ndarray, n_max: int):
     is correctly rounded wherever h_n(x) is a normal double.  Every value
     depends on its own point only, not on the rest of the batch.
     """
+    # Every h_n, n <= N_MAX_LIMIT, underflows to 0 beyond |x| ~ 1e3; the clip
+    # keeps x*x finite.
+    x = np.clip(x, -1e150, 1e150)
     cur = _PI_M4 * np.exp(-0.5 * x * x)
     scale = None
     under = cur < np.finfo(float).tiny
     if under.any():
         ls = -0.5 * x[under] ** 2 - 0.25 * np.log(np.pi)
         exponent = np.zeros(x.shape, dtype=np.int64)
-        exponent[under] = np.floor(ls / _LN2)
+        # Clamped to fit int64 (from |x| ~ 4e9 on); 2**-2**62 is 0 anyway.
+        exponent[under] = np.maximum(np.floor(ls / _LN2), -2.0 ** 62)
         cur[under] = np.exp(ls - exponent[under] * _LN2)
         # 2**(e+B): exactly 2**B for the true-value points.
         scale = np.ldexp(1.0, exponent + _RESCALE_BITS)

@@ -12,7 +12,7 @@ two tail norms
     frequency_tail(K) = || F[u] * 1_{|k|>K} ||,
 
 its L2 norm, and decay metadata.  Entries are immutable; anything memoized
-(the e^{-x^{2n}} transform spline) is precomputed at construction, so
+(the e^{-x^{2n}} transform samples) is precomputed at construction, so
 concurrent reads are safe.
 """
 
@@ -24,12 +24,12 @@ from functools import lru_cache, partial
 from typing import Callable, Optional
 
 import numpy as np
-from scipy.interpolate import CubicSpline, PPoly
 
 from ._integrate import adaptive_quad, gauss_legendre_cos_samples
 
 _SQRT_PI = math.sqrt(math.pi)
 _SQRT_HALF_PI = math.sqrt(math.pi / 2.0)
+_GL16 = np.polynomial.legendre.leggauss(16)
 
 
 # ---------------------------------------------------------------------------
@@ -75,8 +75,8 @@ def algebraic_transform(h: float, k):
 
     2**(1-h) * |k|**(h-1/2) * K_{h-1/2}(|k|) / Gamma(h); where |k|**min(2h-1, 2)
     < 1e-18 its k -> 0 limit Gamma(h-1/2) / (sqrt(2) * Gamma(h)) agrees with it
-    to rounding and is used instead, and where it underflows it is 0.  Array k;
-    a scalar k returns a float.
+    to rounding and is used instead, and where it underflows it is 0.  NaN
+    gives NaN.  Array k; a scalar k returns a float.
     """
     if h <= 0.5:
         raise ValueError(f"algebraic_transform requires h > 1/2, got {h}")
@@ -86,8 +86,9 @@ def algebraic_transform(h: float, k):
     # Where nu*ln(k) - k < -800 the value underflows for every h <= 30: exact
     # zero there, not an overflowing k**nu times a zero K.
     gone = k > 800.0 + nu * np.log(np.maximum(k, 1.0))
-    out = np.where(near, math.gamma(nu) / (math.sqrt(2.0) * math.gamma(h)), 0.0)
-    far = ~(near | gone)  # NaN goes on to bessel_k
+    out = np.where(near, math.gamma(nu) / (math.sqrt(2.0) * math.gamma(h)),
+                   np.where(gone, 0.0, np.nan))
+    far = ~(near | gone | np.isnan(k))
     out[far] = 2.0 ** (1.0 - h) * k[far] ** nu * bessel_k(nu, k[far]) / math.gamma(h)
     return float(out) if out.ndim == 0 else out
 
@@ -105,17 +106,30 @@ def tail_norm(f: Callable, cutoff: float) -> float:
 
     Adaptive Gauss-Kronrod in t on [0, 1) with x = c + (1+c)*((1-t)**-2 - 1),
     which turns (1+x**2)**(-2h) decay into a mild power of 1 - t; relative
-    tolerance 1e-11, AccuracyError when that is not reached.
+    tolerance 1e-11, AccuracyError when that is not reached.  f is scaled by a
+    power of two near max |f| at x = c, ..., c + 3(1+c) and the result scaled
+    back: exact, and a tail whose square underflows is kept.
     """
     c = _cutoff(cutoff)
+    peak = float(np.max(np.abs(f(c + (1.0 + c) * np.arange(4.0)))))
+    s = math.ldexp(1.0, math.frexp(peak)[1]) if 0.0 < peak < math.inf else 1.0
 
     def mapped(t):
         r = 1.0 / (1.0 - t)
-        v = np.asarray(f(c + (1.0 + c) * (r * r - 1.0)))
+        v = np.asarray(f(c + (1.0 + c) * (r * r - 1.0))) / s
         return (v * np.conj(v)).real * (2.0 * (1.0 + c) * r ** 3)
 
-    return math.sqrt(2.0 * adaptive_quad(mapped, 0.0, 1.0, abs_tol=1e-300, rel_tol=1e-11,
-                                         label=f"tail from cutoff={cutoff}"))
+    return s * math.sqrt(2.0 * adaptive_quad(mapped, 0.0, 1.0, abs_tol=1e-300, rel_tol=1e-11,
+                                             label=f"tail from cutoff={cutoff}"))
+
+
+def _panel_tail(f: Callable, edges) -> float:
+    """(2 * integral f(k)**2 dk)**(1/2) for a real f that takes arrays, over
+    the panels between sorted edges, by 16-point Gauss-Legendre on each."""
+    nodes, weights = _GL16
+    half = 0.5 * np.diff(edges)[:, None]
+    k = edges[:-1, None] + half * (1.0 + nodes)
+    return math.sqrt(2.0 * np.sum(half * weights * f(k) ** 2))
 
 
 # ---------------------------------------------------------------------------
@@ -309,10 +323,7 @@ def algebraic(h: float) -> TestFunction:
             # Gauss-Legendre panels: unit ones to kc + 25 + 2h, below 1 graded toward 0.
             grade = 0.25 ** np.arange(20.0, -1.0, -1.0)
             edges = np.unique(np.r_[_cutoff(kc), grade[grade > kc], kc + np.arange(1, 26 + 2 * h)])
-            nodes, weights = np.polynomial.legendre.leggauss(16)
-            half = 0.5 * np.diff(edges)[:, None]
-            k = edges[:-1, None] + half * (1.0 + nodes)
-            return math.sqrt(2.0 * np.sum(half * weights * algebraic_transform(h, k) ** 2))
+            return _panel_tail(partial(algebraic_transform, h), edges)
 
     def deriv():
         return _derived_entry(
@@ -331,24 +342,15 @@ def algebraic(h: float) -> TestFunction:
     return entry
 
 
-def _square_ppoly(sp: CubicSpline) -> PPoly:
-    c = sp.c
-    cc = np.zeros((7, c.shape[1]))
-    for i in range(4):
-        for j in range(4):
-            cc[i + j] += c[i] * c[j]
-    return PPoly(cc, sp.x)
-
-
 @lru_cache(maxsize=None)
 def gaussian_power(n: int) -> TestFunction:
     """u(x) = exp(-x**(2n)), n a positive integer.
 
     For n = 1 everything is in closed form.  For n >= 2 no closed-form
-    transform exists; F[u] is sampled once on a dense frequency grid (stopped
-    where the oscillation envelope drops below 1e-15) and carried as a cubic
-    spline, whose exact square/antiderivative supplies the frequency tail;
-    the spatial tail and the norm come from tail_norm.
+    transform exists; F[u] is sampled once at the 16 Gauss-Legendre nodes of
+    each unit panel up to k_max (0 beyond) and read back by barycentric
+    interpolation, whose square the same rule integrates exactly for the
+    frequency tail; the spatial tail and the norm come from tail_norm.
     """
     if not isinstance(n, (int, np.integer)) or n < 1:
         raise ValueError(f"gaussian_power requires a positive integer, got {n}")
@@ -374,39 +376,39 @@ def gaussian_power(n: int) -> TestFunction:
 
     if n == 1:
         sig = math.sqrt(0.5)  # exp(-x**2) = exp(-x**2/(2*sig**2))
-        fu = lambda k: sig * np.exp(-np.asarray(k) ** 2 / 4.0)
+        # exp(-k**2/4) is 0 from |k| = 55 on; the clamp keeps k**2 finite.
+        fu = lambda k: sig * np.exp(-np.minimum(np.abs(k), 60.0) ** 2 / 4.0)
         spatial = lambda m: math.sqrt(sig * _SQRT_PI * math.erfc(m / sig))
         frequency = lambda k: math.sqrt(sig * _SQRT_PI * math.erfc(sig * k))
         l2 = math.sqrt(sig * _SQRT_PI)
     else:
-        dk = 0.02
-        block = 400
-        k_grid = [np.array([0.0])]
-        f_grid = [gauss_legendre_cos_samples(u, x_hi, [0.0])]
-        k_lo = 0.0
+        nodes, weights = _GL16
+        lam = (-1.0) ** np.arange(16) * np.sqrt((1.0 - nodes ** 2) * weights)
+        k_nodes, f_nodes = [], []
         while True:
-            ks = k_lo + dk * np.arange(1, block + 1)
-            fs = gauss_legendre_cos_samples(u, x_hi, ks)
-            k_grid.append(ks)
-            f_grid.append(fs)
-            k_lo = ks[-1]
+            ks = 8 * len(k_nodes) + np.arange(8.0)[:, None] + 0.5 * (1.0 + nodes)
+            k_nodes.append(ks)
+            f_nodes.append(gauss_legendre_cos_samples(u, x_hi, ks.ravel()).reshape(ks.shape))
             # 1e-14 sits just above the quadrature noise floor.
-            if np.max(np.abs(fs)) < 1e-14 or k_lo > 600.0:
+            if np.max(np.abs(f_nodes[-1])) < 1e-14 or 8 * len(k_nodes) > 600:
                 break
-        k_s = np.concatenate(k_grid)
-        f_s = np.concatenate(f_grid)
-        spline = CubicSpline(k_s, f_s)
-        k_max = k_s[-1]
-        sq_anti = _square_ppoly(spline).antiderivative()
+        k_nodes, f_nodes = np.concatenate(k_nodes), np.concatenate(f_nodes)
+        k_max = len(k_nodes)
 
         def fu(k):
             k = np.abs(np.asarray(k, dtype=float))
-            return np.where(k <= k_max, spline(np.minimum(k, k_max)), 0.0)
+            kk = np.minimum(k, k_max)
+            j = np.searchsorted(np.arange(1.0, k_max), kk, side="right")  # NaN: last panel
+            d = kk[..., None] - k_nodes[j]
+            with np.errstate(divide="ignore"):
+                q = lam / d
+            q = np.where((d == 0.0).any(axis=-1, keepdims=True), d == 0.0, q)
+            return np.where(k > k_max, 0.0, (q * f_nodes[j]).sum(axis=-1) / q.sum(axis=-1))
 
         def frequency(kc):
-            if kc >= k_max:
+            if _cutoff(kc) >= k_max:
                 return 0.0
-            return math.sqrt(max(2.0 * float(sq_anti(k_max) - sq_anti(kc)), 0.0))
+            return _panel_tail(fu, np.r_[kc, np.arange(math.floor(kc) + 1, k_max + 1)])
 
         spatial = partial(tail_norm, u)
         l2 = spatial(0.0)

@@ -129,9 +129,21 @@ def residual_l2(eval_u, spatial_tail, coeffs: SpectralCoeffs,
 
 def projection_error(u: TestFunction, basis: ScaledBasis,
                      tol: float = 1e-11) -> float:
-    """Measured best-approximation error ||u - proj_N^beta u||."""
+    """Measured best-approximation error ||u - proj_N^beta u||.
+
+    Checked against Parseval's sqrt(||u||**2 - ||c||**2) wherever that is
+    above 1e-4 * ||u||, so that its cancellation stays harmless: an
+    AccuracyError when the two differ by more than 1e-6 relative.
+    """
     coeffs = project(u, basis, tol=tol)
-    return residual_l2(u.eval_u, u.spatial_tail, coeffs)
+    error = residual_l2(u.eval_u, u.spatial_tail, coeffs)
+    parseval = math.sqrt(max(u.l2_norm ** 2 - coeffs.norm ** 2, 0.0))
+    if parseval > 1e-4 * u.l2_norm and abs(error - parseval) > 1e-6 * parseval:
+        raise AccuracyError(
+            f"{u.id}: projection error {error:.6e} at N={basis.n_max}, "
+            f"beta={basis.beta:g} disagrees with Parseval's {parseval:.6e}",
+            achieved=abs(error - parseval))
+    return error
 
 
 def interpolation_error(u: TestFunction, basis: ScaledBasis,

@@ -81,7 +81,7 @@ def numerical_fourier(u: Callable, k: float, tol: float = 1e-10) -> float:
 @pytest.fixture(scope="session")
 def small_catalog():
     """Catalog slice used by lattice-style checks (kept session-scoped: the
-    gaussian_power entries precompute their transform splines)."""
+    gaussian_power entries precompute their transform samples)."""
     return [
         hs.plain_gaussian(1.0),
         hs.plain_gaussian(2.0),

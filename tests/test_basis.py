@@ -1,4 +1,5 @@
 import tracemalloc
+import warnings
 
 import mpmath
 import numpy as np
@@ -71,6 +72,19 @@ class TestHermiteFunctions:
         assert np.all(np.isfinite(vals))
         assert np.abs(vals[:200]).max() == 0.0           # true values < 1e-320
         assert np.abs(vals[1850:]).max() > 1e-8          # oscillatory region
+
+    def test_huge_arguments_quiet(self):
+        # The seed's binary exponent would overflow int64 from |x| ~ 4e9 on,
+        # x*x from 1e154 on and x*sqrt(2) near the largest double; those
+        # columns are exact zeros.
+        huge = [4e9, 1e10, 1e154, 1e200, 1e300, -1.7e308]
+        x = np.array([0.3, *huge[:3], -5.0, *huge[3:], 38.0])
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            vals = hs.eval_hermite_functions(x, 40)
+        assert np.array_equal(vals[:, [1, 2, 3, 5, 6, 7]], np.zeros((41, 6)))
+        for j in (0, 4, 8):
+            assert np.array_equal(vals[:, j], hs.eval_hermite_functions(x[j], 40))
 
     @given(near=st.lists(st.floats(-30.0, 30.0), min_size=1, max_size=4),
            far=st.lists(st.floats(40.0, 70.0), min_size=1, max_size=3),

@@ -319,6 +319,12 @@ class TestMainEntry:
         assert cli.main(["transition", "--function", "plain_gaussian",
                          "--h", "1"]) == 4
 
+    def test_projection_error_failing_parseval_exits_4(self, capsys):
+        assert cli.main(["sweep", "--function", "algebraic(1)", "--n", "8",
+                         "--schedule", "constant(1e-10)",
+                         "--measure", "l2_projection"]) == 4
+        assert "disagrees with Parseval" in capsys.readouterr().err
+
     def test_sweep_fit_pipeline(self, tmp_path):
         out = tmp_path / "t.csv"
         rc = cli.main(["sweep", "--function", "algebraic(1)", "--n",
@@ -523,8 +529,10 @@ class TestEntryPoint:
         assert out.splitlines()[0] == cli.CSV_HEADER and len(out.splitlines()) == 3
 
     def test_import_leaves_out_scipy_integrate(self):
+        # Nor scipy.interpolate and what it pulls in (special, optimize).
         env = {**os.environ, "PYTHONPATH": str(self.SRC)}
-        code = "import sys, hermscale.cli; sys.exit('scipy.integrate' in sys.modules)"
+        code = ("import sys, hermscale.cli; sys.exit(any(m in sys.modules for m in "
+                "('scipy.integrate', 'scipy.interpolate', 'scipy.special', 'scipy.optimize')))")
         assert subprocess.run([sys.executable, "-c", code], env=env,
                               timeout=120).returncode == 0
 

@@ -37,6 +37,47 @@ def algebraic_frequency_tail_by_quad(h, kc):
     return math.sqrt(2.0 * total)
 
 
+def gaussian_power_transform_by_series(n, k):
+    """F[exp(-x**(2n))](k) from its power series
+
+        sqrt(2/pi) * sum_m (-1)**m * k**(2m) / (2m)! * Gamma((2m+1)/(2n)) / (2n),
+
+    summed in 100-digit mpmath arithmetic (at k = 44 the terms reach 1e32
+    before they cancel), so at least 30 digits survive.
+    """
+    with mpmath.workdps(100):
+        k = mpmath.mpf(k)
+        total, m = mpmath.mpf(0), 0
+        while True:
+            term = ((-1) ** m * k ** (2 * m) / mpmath.factorial(2 * m)
+                    * mpmath.gamma(mpmath.mpf(2 * m + 1) / (2 * n)) / (2 * n))
+            total += term
+            if m > 10 and abs(term) < mpmath.mpf(10) ** -40:
+                return float(mpmath.sqrt(2 / mpmath.pi) * total)
+            m += 1
+
+
+def gaussian_power_frequency_tail_direct(n, kc, k_end):
+    """||F[u] 1_{|k|>kc}|| for u = exp(-x**(2n)), F[u] cut off at k_end.
+
+    32-point Gauss-Legendre on quarter-unit k panels, each F[u](k) a direct
+    cosine quadrature (32-point Gauss-Legendre on 32 panels of the support of
+    u): no use of the catalog entry's own samples.
+    """
+    nodes, weights = np.polynomial.legendre.leggauss(32)
+    x_edges = np.linspace(0.0, 737.0 ** (1.0 / (2 * n)), 33)
+    half_x = 0.5 * np.diff(x_edges)[:, None]
+    x = (x_edges[:-1, None] + half_x * (1.0 + nodes)).ravel()
+    wu = (half_x * weights).ravel() * np.exp(-x ** (2 * n))
+    edges = np.r_[kc, np.arange(math.floor(4 * kc) + 1, 4 * k_end + 1) / 4.0]
+    half = 0.5 * np.diff(edges)[:, None]
+    k = (edges[:-1, None] + half * (1.0 + nodes)).ravel()
+    fu = np.concatenate([np.cos(np.outer(k[i:i + 2048], x)) @ wu
+                         for i in range(0, k.size, 2048)])
+    fu = math.sqrt(2.0 / math.pi) * fu.reshape(half.size, 32)
+    return math.sqrt(2.0 * np.sum(half * weights * fu * fu))
+
+
 class TestBesselK:
     def test_half_order_closed_form(self):
         # K_{1/2}(x) = sqrt(pi/(2x)) * exp(-x)
@@ -219,6 +260,14 @@ class TestTailNorm:
         assert hs.gaussian_power(4).spatial_tail(2.0) == \
             pytest.approx(2.0658205318422145e-113, rel=1e-10, abs=0.0)
 
+    def test_underflowing_square_keeps_tail(self):
+        # 2 * int_c^inf (1+x**2)**-2 dx = (2/3) c**-3 (1 + O(c**-2)); the
+        # integrand's square underflows from c ~ 1e77 on.
+        u = hs.algebraic(1.0)
+        for c in (1e20, 1e100, 1.1e102):
+            assert u.spatial_tail(c) == \
+                pytest.approx(math.sqrt(2.0 / 3.0) * c ** -1.5, rel=1e-12, abs=0.0)
+
     def test_array_frequency_integrand(self, monkeypatch):
         # One array call per batch of abscissae, not one Bessel-K call each.
         du = hs.algebraic(1.5).derivative()
@@ -245,6 +294,35 @@ class TestAlgebraicTails:
             for cutoff in (-1.0, -1e-300, math.nan, math.inf):
                 with pytest.raises(ValueError):
                     tail(cutoff)
+
+
+class TestGaussianPowerTransform:
+    @pytest.mark.parametrize("n", [2, 4, 16])
+    def test_transform_against_series(self, n):
+        u = hs.gaussian_power(n)
+        ks = np.array([0.0, 0.37, 3.3, 11.5, 27.25, 44.0])
+        expect = [gaussian_power_transform_by_series(n, k) for k in ks]
+        assert np.abs(u.eval_Fu(ks) - expect).max() <= 1e-14
+        assert np.abs(u.eval_Fu(-ks) - expect).max() <= 1e-14
+
+    def test_frequency_tail_at_zero_is_norm(self):
+        for n in range(1, 17):
+            u = hs.gaussian_power(n)
+            assert u.frequency_tail(0.0) == pytest.approx(u.l2_norm, rel=1e-13, abs=0.0), n
+
+    def test_frequency_tail_against_direct_quadrature(self):
+        # The fig2 cutoffs sqrt(N) * N**(3/8) / (2*sqrt(2)) at N = 128, 192, 256.
+        u = hs.gaussian_power(4)
+        for kc in (24.68, 35.18, 45.25):
+            expect = gaussian_power_frequency_tail_direct(4, kc, 130.0)
+            assert u.frequency_tail(kc) == pytest.approx(expect, rel=1e-8, abs=0.0), kc
+
+    def test_frequency_tail_beyond_samples(self):
+        u = hs.gaussian_power(2)
+        assert u.frequency_tail(1e6) == 0.0
+        for cutoff in (-1.0, math.nan, math.inf):
+            with pytest.raises(ValueError):
+                u.frequency_tail(cutoff)
 
 
 class TestCatalog:
@@ -382,6 +460,11 @@ class TestCatalog:
                 with warnings.catch_warnings():
                     warnings.simplefilter("error")
                     assert np.all(np.isfinite(ev(x))), (u.id, ev)
+            with warnings.catch_warnings():
+                warnings.simplefilter("error")
+                fu = u.eval_Fu(np.r_[x, math.nan, 1e300])
+            assert np.all(np.isfinite(fu[:-2])) and math.isnan(fu[-2]), u.id
+            assert fu[-1] == 0.0, u.id
 
     def test_high_power_entries_usable(self):
         # Both sample eval_du / eval_d2u where x**(2n-1) alone would overflow.

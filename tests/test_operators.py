@@ -2,10 +2,12 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import hermscale as hs
 from hermscale.basis import GaussianParams, ScaledBasis, SpectralCoeffs
-from hermscale.errors import BracketError, DegenerateBalanceError
+from hermscale.errors import AccuracyError, BracketError, DegenerateBalanceError
 from hermscale.fourier import DecayMeta, TestFunction
 from hermscale.operators import (FREQUENCY_CUTOFF_FACTOR,
                                  SPATIAL_CUTOFF_FACTOR, residual_l2)
@@ -60,6 +62,25 @@ class TestProjection:
     def test_tolerance_guard(self):
         with pytest.raises(ValueError):
             hs.project(hs.algebraic(1.0), ScaledBasis(4, 1.0), tol=1e-13)
+
+    def test_parseval_mismatch_raises(self):
+        # The measured error misses u's peak here (8.0e-12, ~1e-152 and 0.0)
+        # while sqrt(||u||**2 - ||c||**2) is 1.2533, 1.2533 and 1.33e-2.
+        for u, n, beta in ((hs.algebraic(1.0), 8, 1e-10),
+                           (hs.algebraic(1.0), 8, 1e-100),
+                           (hs.plain_gaussian(1e-4), 16, 1.0)):
+            with pytest.raises(AccuracyError, match="Parseval") as info:
+                hs.projection_error(u, ScaledBasis(n, beta))
+            assert info.value.achieved > 1e-2
+
+    @settings(max_examples=80)
+    @given(st.sampled_from(["plain_gaussian(1)", "gaussian(2,1)", "algebraic(1)",
+                            "algebraic(2.5)", "gaussian_power(4)"]),
+           st.integers(0, 32), st.floats(-100.0, 100.0))
+    def test_bessel_inequality(self, name, n, log10_beta):
+        u = hs.catalog_entry(name)
+        coeffs = hs.project(u, ScaledBasis(n, 10.0 ** log10_beta))
+        assert coeffs.norm <= u.l2_norm + math.sqrt(n + 1) * 1e-11
 
 
 class TestInterpolation:
