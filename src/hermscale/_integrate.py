@@ -4,10 +4,14 @@ scipy.integrate.quad evaluates integrands one abscissa at a time, which is
 too slow when each evaluation synthesizes a truncated Hermite series (O(N)
 work per point).  The integrator here feeds whole batches of abscissae to a
 vectorized integrand and supports vector-valued integrands, so a full
-coefficient vector can be projected in one adaptive pass.
+coefficient vector can be projected in one adaptive pass.  A vector
+integrand yields its components as rows, contracted a block at a time, and
+the panel heap holds one scalar error per panel, so memory stays
+O(panels + components) however many components there are.
 """
 
 import heapq
+import itertools
 
 import numpy as np
 
@@ -61,43 +65,68 @@ _WG[1::2] = [
 ]
 
 
-def _eval_panels(f, lo, hi):
-    """Evaluate f on a batch of panels; return (integrals, error estimates).
+# Both rules side by side, so one product gives the K15 and G7 sums.
+_WKG = np.stack([_WGK, _WG], axis=1)
+# Rows of a vector integrand contracted per product in _eval_panels: the
+# working set is _BLOCK_ROWS * 15 values per panel, whatever the row count.
+_BLOCK_ROWS = 16
+# Most panels bisected in one round of adaptive_quad.
+_ROUND_PANELS = 128
 
-    lo, hi: arrays of panel endpoints, shape (p,).  The integrand is called
-    once with all p*15 abscissae.  Returns per-panel Kronrod integrals of
-    shape (p,) or (p, d) and per-panel |K - G| estimates of the same shape.
+
+def _kronrod(values, half):
+    """Kronrod integrals and |K - G| estimates, each of shape (b, p), of
+    values of shape (b, p*15) on panels of half-widths `half`."""
+    kg = values.reshape(-1, 15) @ _WKG
+    ik = half * kg[:, 0].reshape(-1, half.size)
+    return ik, np.abs(ik - half * kg[:, 1].reshape(-1, half.size))
+
+
+def _eval_panels(f, lo, hi, weight):
+    """Evaluate f on a batch of panels and fold them into running totals.
+
+    lo, hi, weight: arrays of shape (p,).  The integrand is called once with
+    all p*15 abscissae.  Returns (integral, error, worst): the sums over
+    panels of weight * K and weight * |K - G| per component, scalars for a
+    scalar integrand and (d,) arrays for d rows, and each panel's largest
+    |K - G| over the components, shape (p,).
     """
-    lo = np.asarray(lo, dtype=float)
-    hi = np.asarray(hi, dtype=float)
     mid = 0.5 * (lo + hi)
     half = 0.5 * (hi - lo)
     x = (mid[:, None] + half[:, None] * _XGK[None, :]).ravel()
-    y = np.asarray(f(x), dtype=float)
-    if y.ndim == 1:
-        y = y.reshape(lo.size, 15)
-        ik = half * (y @ _WGK)
-        ig = half * (y @ _WG)
-    else:
-        y = y.reshape(lo.size, 15, -1)
-        ik = half[:, None] * np.einsum("pkd,k->pd", y, _WGK)
-        ig = half[:, None] * np.einsum("pkd,k->pd", y, _WG)
-    return ik, np.abs(ik - ig)
+    y = f(x)
+    if isinstance(y, np.ndarray) and y.ndim == 1:
+        ik, err = _kronrod(y, half)
+        return ik[0] @ weight, err[0] @ weight, err[0]
+    rows = iter(y)
+    integral, error, worst = [], [], np.zeros(lo.size)
+    while block := list(itertools.islice(rows, _BLOCK_ROWS)):
+        ik, err = _kronrod(np.array(block), half)
+        integral.append(ik @ weight)
+        error.append(err @ weight)
+        np.maximum(worst, err.max(axis=0), out=worst)
+    return np.concatenate(integral), np.concatenate(error), worst
 
 
 def adaptive_quad(f, a, b, abs_tol=1e-12, rel_tol=1e-10, points=None,
                   initial=16, max_panels=20000, label="integrand"):
     """Integrate a vectorized integrand over [a, b] adaptively.
 
-    f maps an array of abscissae (m,) to values (m,) or (m, d); the result is
-    a scalar or a (d,) vector.  `points` seeds the initial subdivision
-    (breakpoints including or excluding the endpoints); otherwise [a, b] is
-    split into `initial` uniform panels.  Panels with the largest error are
-    bisected until every component satisfies
+    f maps an array of abscissae (m,) to values (m,), giving a scalar result,
+    or to an iterable of d rows of shape (m,), real or complex, giving a (d,)
+    vector.  `points` seeds the initial subdivision (breakpoints including or
+    excluding the endpoints); otherwise [a, b] is split into `initial`
+    uniform panels.  Until every component satisfies
 
         err_c <= max(abs_tol, rel_tol * |I_c|)
 
-    Raises AccuracyError when the panel budget is exhausted first.
+    each round bisects the worst panels, at most _ROUND_PANELS of them, until
+    their errors cover the largest excess.  The heap keeps one error per
+    panel; a bisected panel is evaluated again, with weight -1, in the same
+    call as its two halves, which takes its share out of the totals.  Memory
+    is O(panels + d) beside one block of rows.
+
+    Raises AccuracyError when `max_panels` panels are spent first.
     """
     if not b > a:
         raise ValueError(f"invalid interval [{a}, {b}]")
@@ -106,44 +135,42 @@ def adaptive_quad(f, a, b, abs_tol=1e-12, rel_tol=1e-10, points=None,
         edges = np.union1d(edges, [a, b])
     else:
         edges = np.linspace(a, b, initial + 1)
-    vals, errs = _eval_panels(f, edges[:-1], edges[1:])
-    vector = vals.ndim == 2
-    if not np.isfinite(vals).all():
+    total, total_err, worst = _eval_panels(f, edges[:-1], edges[1:],
+                                           np.ones(edges.size - 1))
+    if not np.isfinite(total).all():
         raise AccuracyError(f"non-finite values while integrating {label}")
+    heap = list(zip((-worst).tolist(), edges[:-1].tolist(), edges[1:].tolist()))
+    heapq.heapify(heap)
+    n_panels = len(heap)
 
-    heap = []
-    for i in range(len(edges) - 1):
-        e = errs[i].max() if vector else errs[i]
-        heapq.heappush(heap, (-e, edges[i], edges[i + 1], vals[i], errs[i]))
-    total = vals.sum(axis=0)
-    total_err = errs.sum(axis=0)
-    n_panels = len(edges) - 1
-
-    while n_panels < max_panels:
-        bound = np.maximum(abs_tol, rel_tol * np.abs(total))
-        if np.all(total_err <= bound):
+    while True:
+        over = total_err - np.maximum(abs_tol, rel_tol * np.abs(total))
+        excess = np.max(over)
+        if excess <= 0.0:
             return total
-        neg_e, lo, hi, v, e = heapq.heappop(heap)
-        if neg_e == 0.0:
-            # Worst panel already exact to machine precision; cannot improve.
+        popped, covered = [], 0.0
+        limit = min(_ROUND_PANELS, max_panels - n_panels)
+        # A panel whose error is 0 is exact to machine precision already.
+        while heap and len(popped) < limit and covered < excess and heap[0][0] < 0.0:
+            popped.append(heapq.heappop(heap))
+            covered -= popped[-1][0]
+        if not popped:
             break
+        _, lo, hi = np.array(popped).T
         mid = 0.5 * (lo + hi)
-        v2, e2 = _eval_panels(f, np.array([lo, mid]), np.array([mid, hi]))
-        total = total - v + v2[0] + v2[1]
-        total_err = total_err - e + e2[0] + e2[1]
-        for j in (0, 1):
-            em = e2[j].max() if vector else e2[j]
-            heapq.heappush(heap, (-em, (lo, mid)[j], (mid, hi)[j], v2[j], e2[j]))
-        n_panels += 1
+        left, right = np.r_[lo, mid], np.r_[mid, hi]
+        k = lo.size
+        v, e, worst = _eval_panels(f, np.r_[left, lo], np.r_[right, hi],
+                                   np.repeat([1.0, 1.0, -1.0], k))
+        total = total + v
+        total_err = total_err + e
+        for entry in zip((-worst[:2 * k]).tolist(), left.tolist(), right.tolist()):
+            heapq.heappush(heap, entry)
+        n_panels += k
 
-    bound = np.maximum(abs_tol, rel_tol * np.abs(total))
-    if np.all(total_err <= bound):
-        return total
-    worst = int(np.argmax(total_err - bound)) if vector else None
-    achieved = float(np.max(total_err))
-    what = f"{label}[{worst}]" if worst is not None else label
+    what = f"{label}[{int(np.argmax(over))}]" if np.ndim(total) else label
     raise AccuracyError(f"adaptive quadrature did not converge for {what}",
-                        achieved=achieved, value=total)
+                        achieved=float(np.max(total_err)), value=total)
 
 
 _GL64 = np.polynomial.legendre.leggauss(64)

@@ -19,7 +19,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from ._integrate import adaptive_quad
-from .basis import ScaledBasis, SpectralCoeffs, eval_scaled_basis, synthesize
+from .basis import ScaledBasis, SpectralCoeffs, _hermite_rows, synthesize
 from .errors import AccuracyError, BracketError, DegenerateBalanceError
 from .fourier import TestFunction
 from .quadrature import CollocationGrid, analysis
@@ -62,21 +62,18 @@ def project(u: TestFunction, basis: ScaledBasis, tol: float = 1e-11) -> Spectral
 
     All N+1 coefficients are integrated in one adaptive pass over the window
     where the basis lives (outside it the integrand is below the tolerance
-    budget regardless of u), each to absolute accuracy tol.
+    budget regardless of u), each to absolute accuracy tol.  The integrand
+    streams the rows phi_n(x) * u(x), so the basis matrix is never built.
     """
     if tol < 1e-12:
         raise ValueError(f"tol must be >= 1e-12, got {tol}")
     x_max = support_radius(basis)
-    size = basis.size
+    root_beta = math.sqrt(basis.beta)
 
-    if u.complex_valued:
-        def f(x):
-            phi = eval_scaled_basis(basis, x)
-            uv = u.eval_u(x)
-            return np.concatenate([phi * uv.real, phi * uv.imag], axis=0).T
-    else:
-        def f(x):
-            return (eval_scaled_basis(basis, x) * u.eval_u(x)).T
+    def f(x):
+        uv = u.eval_u(x)
+        return (root_beta * row * uv
+                for row in _hermite_rows(basis.beta * x, basis.n_max))
 
     try:
         vals = adaptive_quad(f, -x_max, x_max, abs_tol=tol, rel_tol=0.0,
@@ -86,8 +83,6 @@ def project(u: TestFunction, basis: ScaledBasis, tol: float = 1e-11) -> Spectral
         raise AccuracyError(
             f"projection onto basis (N={basis.n_max}, beta={basis.beta:g}) "
             f"did not converge: {exc}", achieved=exc.achieved) from exc
-    if u.complex_valued:
-        vals = vals[:size] + 1j * vals[size:]
     return SpectralCoeffs(basis, vals)
 
 

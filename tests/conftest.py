@@ -1,9 +1,9 @@
 """Shared oracles for the test suite.
 
-The quadrature helpers here deliberately go through scipy.integrate.quad
-(scalar, independent code path) rather than the package's own vectorized
-integrator, so inner products asserted in tests are measured by machinery
-the library does not use for them.
+The quadrature helpers here deliberately avoid the package's own adaptive
+integrator: the Gram oracle is a fixed composite Gauss-Legendre rule and the
+Fourier oracle goes through scipy.integrate.quad, so inner products asserted
+in tests are measured by machinery the library does not use for them.
 """
 
 import math
@@ -28,23 +28,25 @@ def hermite_value(n, x):
 
 
 def gram_matrix_by_quadrature(basis, size, tol=1e-12):
-    """Gram matrix of the first `size` scaled basis elements by scalar
-    adaptive quadrature.
+    """Gram matrix of the first `size` scaled basis elements by fixed
+    composite 32-point Gauss-Legendre quadrature on [-cut, cut].
 
-    Each abscissa evaluates the basis once, up to the larger index only.
+    Every entry comes from one product of the sampled basis with itself; the
+    rule on 128 uniform panels must agree with the rule on 64 to within tol.
     """
-    g = np.empty((size, size))
     cut = (np.sqrt(2.0 * basis.n_max + 1.0) + 20.0) / basis.beta
-    for m in range(size):
-        for n in range(m, size):
-            prefix = hs.ScaledBasis(n, basis.beta)
+    prefix = hs.ScaledBasis(size - 1, basis.beta)
+    nodes, weights = np.polynomial.legendre.leggauss(32)
 
-            def integrand(x):
-                phi = hs.eval_scaled_basis(prefix, np.asarray(x))
-                return phi[m] * phi[n]
+    def gram(panels):
+        half = cut / panels
+        left = np.linspace(-cut, cut, panels + 1)[:-1, None]
+        x = (left + half * (1.0 + nodes)).ravel()
+        phi = hs.eval_scaled_basis(prefix, x)
+        return (phi * np.tile(half * weights, panels)) @ phi.T
 
-            g[m, n] = g[n, m] = quad(integrand, -cut, cut, epsabs=tol,
-                                     epsrel=1e-12, limit=800)[0]
+    coarse, g = gram(64), gram(128)
+    assert np.abs(g - coarse).max() <= tol, "Gram oracle did not converge"
     return g
 
 

@@ -51,7 +51,7 @@ class TestHermiteFunctions:
         for m in range(31):
             def row(x):
                 phi = hs.eval_scaled_basis(basis, x)
-                return (phi * phi[m]).T
+                return phi * phi[m]
             vals = adaptive_quad(row, -cut, cut, abs_tol=1e-12, rel_tol=0.0,
                                  initial=64)
             expect = np.zeros(31)

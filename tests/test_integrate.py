@@ -1,0 +1,106 @@
+"""Direct tests of the adaptive Gauss-Kronrod integrator."""
+
+import math
+
+import numpy as np
+import pytest
+
+from hermscale import _integrate
+from hermscale._integrate import adaptive_quad
+from hermscale.errors import AccuracyError
+
+
+def moment_rows(x, d=6):
+    """Rows x**j * exp(-x**2), j < d."""
+    g = np.exp(-x * x)
+    return (x ** j * g for j in range(d))
+
+
+class TestVectorIntegrand:
+    def test_rows_match_scalar_calls(self):
+        vec = adaptive_quad(moment_rows, -3.0, 4.0, abs_tol=1e-13, rel_tol=0.0)
+        assert vec.shape == (6,)
+        for j in range(6):
+            one = adaptive_quad(lambda x: x ** j * np.exp(-x * x), -3.0, 4.0,
+                                abs_tol=1e-13, rel_tol=0.0)
+            assert np.ndim(one) == 0
+            assert vec[j] == pytest.approx(one, rel=0.0, abs=1e-12)
+
+    def test_array_of_rows_matches_generator(self):
+        rows = adaptive_quad(lambda x: np.array(list(moment_rows(x))), -3.0, 4.0)
+        assert np.array_equal(rows, adaptive_quad(moment_rows, -3.0, 4.0))
+
+    def test_many_rows_span_blocks(self):
+        # More rows than one contraction block: every block lands in place.
+        d = 3 * _integrate._BLOCK_ROWS + 5
+        vals = adaptive_quad(lambda x: (np.full_like(x, float(j)) for j in range(d)),
+                             0.0, 2.0)
+        assert vals == pytest.approx(2.0 * np.arange(d), rel=1e-15, abs=0.0)
+
+    def test_complex_rows(self):
+        # int exp(-x**2/2 + i*k*x) dx = sqrt(2*pi) * exp(-k**2/2).
+        ks = np.arange(5.0)
+
+        def f(x):
+            g = np.exp(-0.5 * x * x)
+            return (g * np.exp(1j * k * x) for k in ks)
+
+        vals = adaptive_quad(f, -12.0, 12.0, abs_tol=1e-13, rel_tol=0.0)
+        assert vals.dtype == complex
+        expect = math.sqrt(2.0 * math.pi) * np.exp(-0.5 * ks ** 2)
+        assert np.abs(vals - expect).max() < 1e-12
+
+
+class TestBudget:
+    @pytest.mark.parametrize("vector", [False, True])
+    def test_exhaustion_raises_with_estimate(self, vector, monkeypatch):
+        seen = []
+        original = _integrate._eval_panels
+
+        def counting(f, lo, hi, weight):
+            seen.append(int(np.sum(weight > 0)) - int(np.sum(weight < 0)))
+            return original(f, lo, hi, weight)
+
+        monkeypatch.setattr(_integrate, "_eval_panels", counting)
+        # |x|**-0.9 is integrable, but no 300 panels reach 1e-14.  x = 0 is
+        # a panel edge, never an abscissa.
+        scalar = lambda x: np.abs(x) ** -0.9
+        f = (lambda x: (scalar(x), 2.0 * scalar(x))) if vector else scalar
+        with pytest.raises(AccuracyError) as info:
+            adaptive_quad(f, -1.0, 1.0, abs_tol=1e-14, rel_tol=0.0,
+                          initial=16, max_panels=300)
+        exc = info.value
+        assert exc.achieved > 1e-14 and math.isfinite(exc.achieved)
+        assert np.shape(exc.value) == ((2,) if vector else ())
+        assert np.all(np.isfinite(exc.value))
+        # Every bisection adds one panel; the budget is never overrun.
+        assert sum(seen) == 300
+
+    def test_non_finite_values_raise(self):
+        with pytest.raises(AccuracyError):
+            adaptive_quad(lambda x: np.where(x > 0.5, np.nan, 1.0), -1.0, 1.0)
+
+    def test_empty_interval_rejected(self):
+        with pytest.raises(ValueError):
+            adaptive_quad(np.exp, 1.0, 1.0)
+
+
+class TestBatchedBisection:
+    def test_narrow_peak_in_few_rounds(self, monkeypatch):
+        # A Gaussian of width 1e-3 off every initial edge and abscissa: its
+        # mass is resolved only by many bisections around the peak.
+        center, width = 0.1234567, 1e-3
+        calls, bisections = [], []
+        original = _integrate._eval_panels
+
+        def counting(f, lo, hi, weight):
+            calls.append(lo.size)
+            bisections.append(int(np.sum(weight < 0)))
+            return original(f, lo, hi, weight)
+
+        monkeypatch.setattr(_integrate, "_eval_panels", counting)
+        f = lambda x: np.exp(-((x - center) / width) ** 2)
+        val = adaptive_quad(f, -1.0, 1.0, abs_tol=1e-15, rel_tol=1e-12)
+        assert val == pytest.approx(width * math.sqrt(math.pi), rel=1e-11)
+        assert len(calls) < sum(bisections)
+        assert max(bisections) <= _integrate._ROUND_PANELS

@@ -1,4 +1,5 @@
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -62,6 +63,19 @@ class TestProjection:
     def test_tolerance_guard(self):
         with pytest.raises(ValueError):
             hs.project(hs.algebraic(1.0), ScaledBasis(4, 1.0), tol=1e-13)
+
+    def test_memory_bounded_at_n2048(self):
+        # The (15 * panels) x (N+1) basis matrix would be about 1 GB here;
+        # the streamed rows keep the traced peak far below it.
+        u = hs.algebraic(1.0)
+        tracemalloc.start()
+        try:
+            coeffs = hs.project(u, ScaledBasis(2048, 0.5))
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < 64 * 2 ** 20
+        assert coeffs.norm <= u.l2_norm * (1.0 + 1e-12)
 
     def test_parseval_mismatch_raises(self):
         # The measured error misses u's peak here (8.0e-12, ~1e-152 and 0.0)
