@@ -89,22 +89,26 @@ def _eval_panels(f, lo, hi, weight):
     all p*15 abscissae.  Returns (integral, error, worst): the sums over
     panels of weight * K and weight * |K - G| per component, scalars for a
     scalar integrand and (d,) arrays for d rows, and each panel's largest
-    |K - G| over the components, shape (p,).
+    |K - G| over the components, shape (p,).  A non-finite value makes the
+    totals non-finite without a warning (an inf times a zero G7 weight is a
+    NaN); the caller checks them before they are trusted.
     """
     mid = 0.5 * (lo + hi)
     half = 0.5 * (hi - lo)
     x = (mid[:, None] + half[:, None] * _XGK[None, :]).ravel()
     y = f(x)
     if isinstance(y, np.ndarray) and y.ndim == 1:
-        ik, err = _kronrod(y, half)
-        return ik[0] @ weight, err[0] @ weight, err[0]
+        with np.errstate(invalid="ignore", over="ignore"):
+            ik, err = _kronrod(y, half)
+            return ik[0] @ weight, err[0] @ weight, err[0]
     rows = iter(y)
     integral, error, worst = [], [], np.zeros(lo.size)
     while block := list(itertools.islice(rows, _BLOCK_ROWS)):
-        ik, err = _kronrod(np.array(block), half)
-        integral.append(ik @ weight)
-        error.append(err @ weight)
-        np.maximum(worst, err.max(axis=0), out=worst)
+        with np.errstate(invalid="ignore", over="ignore"):
+            ik, err = _kronrod(np.array(block), half)
+            integral.append(ik @ weight)
+            error.append(err @ weight)
+            np.maximum(worst, err.max(axis=0), out=worst)
     return np.concatenate(integral), np.concatenate(error), worst
 
 
@@ -126,7 +130,8 @@ def adaptive_quad(f, a, b, abs_tol=1e-12, rel_tol=1e-10, points=None,
     call as its two halves, which takes its share out of the totals.  Memory
     is O(panels + d) beside one block of rows.
 
-    Raises AccuracyError when `max_panels` panels are spent first.
+    Raises AccuracyError when `max_panels` panels are spent first, or when
+    f returns a value that is not finite, at any round.
     """
     if not b > a:
         raise ValueError(f"invalid interval [{a}, {b}]")
@@ -135,38 +140,35 @@ def adaptive_quad(f, a, b, abs_tol=1e-12, rel_tol=1e-10, points=None,
         edges = np.union1d(edges, [a, b])
     else:
         edges = np.linspace(a, b, initial + 1)
-    total, total_err, worst = _eval_panels(f, edges[:-1], edges[1:],
-                                           np.ones(edges.size - 1))
-    if not np.isfinite(total).all():
-        raise AccuracyError(f"non-finite values while integrating {label}")
-    heap = list(zip((-worst).tolist(), edges[:-1].tolist(), edges[1:].tolist()))
-    heapq.heapify(heap)
-    n_panels = len(heap)
-
+    lo, hi = edges[:-1], edges[1:]
+    weight = np.ones(lo.size)
+    total = total_err = 0.0
+    heap = []  # (-error, lo, hi) of every current panel
     while True:
+        v, e, worst = _eval_panels(f, lo, hi, weight)
+        total = total + v
+        total_err = total_err + e
+        if not np.isfinite(total).all():
+            raise AccuracyError(f"non-finite values while integrating {label}")
+        new = weight > 0
+        for entry in zip((-worst[new]).tolist(), lo[new].tolist(), hi[new].tolist()):
+            heapq.heappush(heap, entry)
         over = total_err - np.maximum(abs_tol, rel_tol * np.abs(total))
         excess = np.max(over)
         if excess <= 0.0:
             return total
         popped, covered = [], 0.0
-        limit = min(_ROUND_PANELS, max_panels - n_panels)
+        limit = min(_ROUND_PANELS, max_panels - len(heap))
         # A panel whose error is 0 is exact to machine precision already.
         while heap and len(popped) < limit and covered < excess and heap[0][0] < 0.0:
             popped.append(heapq.heappop(heap))
             covered -= popped[-1][0]
         if not popped:
             break
-        _, lo, hi = np.array(popped).T
-        mid = 0.5 * (lo + hi)
-        left, right = np.r_[lo, mid], np.r_[mid, hi]
-        k = lo.size
-        v, e, worst = _eval_panels(f, np.r_[left, lo], np.r_[right, hi],
-                                   np.repeat([1.0, 1.0, -1.0], k))
-        total = total + v
-        total_err = total_err + e
-        for entry in zip((-worst[:2 * k]).tolist(), left.tolist(), right.tolist()):
-            heapq.heappush(heap, entry)
-        n_panels += k
+        _, p_lo, p_hi = np.array(popped).T
+        mid = 0.5 * (p_lo + p_hi)
+        lo, hi = np.r_[p_lo, mid, p_lo], np.r_[mid, p_hi, p_hi]
+        weight = np.repeat([1.0, 1.0, -1.0], p_lo.size)
 
     what = f"{label}[{int(np.argmax(over))}]" if np.ndim(total) else label
     raise AccuracyError(f"adaptive quadrature did not converge for {what}",

@@ -184,11 +184,15 @@ def synthesize(coeffs: SpectralCoeffs, x) -> np.ndarray:
     """
     x = _validate_points(x)
     beta = coeffs.basis.beta
-    c = coeffs.values
+    return (np.sqrt(beta) * _series(coeffs.values, beta * x.ravel())).reshape(x.shape)
+
+
+def _series(c: np.ndarray, x: np.ndarray) -> np.ndarray:
+    """sum_n c[n] * h_n(x) at a 1-d array x, accumulated over streamed rows."""
     acc = np.zeros(x.size, dtype=np.result_type(c, float))
-    for cn, row in zip(c, _hermite_rows(beta * x.ravel(), coeffs.basis.n_max)):
+    for cn, row in zip(c, _hermite_rows(x, c.size - 1)):
         acc += cn * row
-    return (np.sqrt(beta) * acc).reshape(x.shape)
+    return acc
 
 
 def derivative_matrix(basis: ScaledBasis) -> np.ndarray:

@@ -44,7 +44,9 @@ def bessel_k(nu: float, x):
     x**2 + nu**2)**(1/4), stopped where x(cosh t - 1) - nu t reaches 750.  Terms
     are scaled by the integrand's peak, so overflow gives inf.  Within 8e-14
     relative of scipy.special.kv for nu <= 12, 1e-300 <= x <= 700.  Array x
-    runs in blocks of 2**18 grid values; a scalar x returns a float.
+    runs in blocks of at most 2**13 grid values, so each temporary stays below
+    malloc's 128 KB mmap threshold instead of being mapped and faulted in
+    afresh on every call; a scalar x returns a float.
     """
     flat = np.asarray(x, dtype=float).ravel()
     if not (math.isfinite(nu) and nu >= 0 and np.all(np.isfinite(flat) & (flat > 0))):
@@ -57,7 +59,7 @@ def bessel_k(nu: float, x):
     count = np.ceil(t_end / step).astype(int) + 1
     r = np.hypot(nu, flat)  # nu*t - x*(cosh t - 1) peaks at t = arcsinh(nu/x)
     top = nu * (np.log(nu + r) - np.log(flat)) - nu * nu / (r + flat)
-    rows = max(1, (1 << 18) // count.max(initial=1))
+    rows = max(1, (1 << 13) // count.max(initial=1))
     out = np.empty_like(flat)
     for i in (slice(lo, lo + rows) for lo in range(0, flat.size, rows)):
         t = np.minimum(step[i, None] * np.arange(count[i].max()), t_end[i, None])
@@ -348,7 +350,8 @@ def algebraic(h: float) -> TestFunction:
     return entry
 
 
-@lru_cache(maxsize=None)
+# An entry keeps up to 160 KB of transform samples; a sweep uses one or two.
+@lru_cache(maxsize=8)
 def gaussian_power(n: int) -> TestFunction:
     """u(x) = exp(-x**(2n)), n a positive integer.
 

@@ -7,9 +7,9 @@ pentadiagonal with couplings only at |m - n| in {0, 2}:
     A[n, n+2] = -beta**2 * sqrt((n+1)(n+2))/2,
 
 so the system splits into independent even- and odd-index tridiagonal SPD
-blocks solved by banded Cholesky.  The right-hand side is the coefficient
-vector of the interpolant of f (interpolation, then an identity mass
-matrix).
+blocks, each solved by an LDL^T (Thomas) sweep.  The right-hand side is the
+coefficient vector of the interpolant of f (interpolation, then an identity
+mass matrix).
 """
 
 from __future__ import annotations
@@ -20,7 +20,6 @@ from functools import partial
 from typing import Optional
 
 import numpy as np
-from scipy.linalg import LinAlgError, solveh_banded
 
 from .basis import ScaledBasis, SpectralCoeffs, differentiate
 from .fourier import TestFunction, tail_norm
@@ -63,15 +62,18 @@ def assemble(basis: ScaledBasis, gamma: float) -> GalerkinSystem:
 
 
 def _solve_tridiagonal_spd(diag, off, rhs):
-    """Banded Cholesky solve of the SPD tridiagonal system."""
-    if diag.size == 0:
-        return rhs.copy()
-    if diag.size == 1:  # scipy's banded path rejects the degenerate case
-        return rhs / diag
-    ab = np.zeros((2, diag.size))
-    ab[0, 1:] = off
-    ab[1] = diag
-    return solveh_banded(ab, rhs)
+    """LDL^T solve of the SPD tridiagonal system with diagonal `diag` and
+    sub/super-diagonal `off`: l_i = off[i-1] / d[i-1], d_i = diag[i] - l_i*off[i-1],
+    then forward, diagonal and backward substitution."""
+    d, e, z = diag.tolist(), off.tolist(), rhs.tolist() + [0.0]
+    ell = [0.0] * (len(d) + 1)
+    for i in range(1, len(d)):
+        ell[i] = e[i - 1] / d[i - 1]
+        d[i] -= ell[i] * e[i - 1]
+        z[i] -= ell[i] * z[i - 1]
+    for i in reversed(range(len(d))):
+        z[i] = z[i] / d[i] - ell[i + 1] * z[i + 1]
+    return np.array(z[:-1], dtype=rhs.dtype)
 
 
 def _apply(system: GalerkinSystem, c):
@@ -89,21 +91,14 @@ def solve(problem: ModelProblem, basis: ScaledBasis,
     system = assemble(basis, problem.gamma)
 
     c = np.empty_like(b)
-    try:
-        for start in (0, 1):
-            sl = slice(start, None, 2)
-            c[sl] = _solve_tridiagonal_spd(system.diag[sl],
-                                           system.offdiag2[sl][:], b[sl])
-    except LinAlgError as exc:  # pragma: no cover - impossible for gamma > 0
-        raise RuntimeError(
-            f"Cholesky failed for gamma={problem.gamma}, N={basis.n_max}, "
-            f"beta={basis.beta}: this indicates a bug, the operator is SPD"
-        ) from exc
+    for start in (0, 1):
+        sl = slice(start, None, 2)
+        c[sl] = _solve_tridiagonal_spd(system.diag[sl], system.offdiag2[sl], b[sl])
 
     residual = np.max(np.abs(_apply(system, c) - b))
     scale = np.max(np.abs(b))
     if scale > 0 and residual > 1e-10 * scale:
-        raise RuntimeError(f"banded solve residual {residual:.3e} exceeds "
+        raise RuntimeError(f"tridiagonal solve residual {residual:.3e} exceeds "
                            f"1e-10 * ||b||_inf = {1e-10 * scale:.3e}")
     return SpectralCoeffs(basis, c)
 

@@ -15,7 +15,7 @@ import pytest
 import hermscale as hs
 from hermscale import cli, galerkin
 from hermscale.basis import GaussianParams, ScaledBasis
-from hermscale.quadrature import compute_grid, hermite_vandermonde
+from hermscale.quadrature import compute_grid
 
 from conftest import gram_matrix_by_quadrature
 
@@ -34,7 +34,7 @@ def test_criterion_1_orthonormality():
     worst_disc = 0.0
     for n in (8, 64, 256):
         g = compute_grid(n)
-        v = hermite_vandermonde(g)
+        v = hs.eval_hermite_functions(g.nodes, g.n_max)
         dev = np.abs((v * g.weights) @ v.T - np.eye(n + 1)).max()
         worst_disc = max(worst_disc, dev)
     gram = gram_matrix_by_quadrature(ScaledBasis(20, 1.0), 21)

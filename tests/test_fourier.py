@@ -313,6 +313,13 @@ class TestGaussianPowerTransform:
             u = hs.gaussian_power(n)
             assert u.frequency_tail(0.0) == pytest.approx(u.l2_norm, rel=1e-13, abs=0.0), n
 
+    def test_cache_is_bounded(self):
+        cap = hs.gaussian_power.cache_info().maxsize
+        for n in range(1, cap + 4):
+            hs.gaussian_power(n)
+        assert 0 < hs.gaussian_power.cache_info().currsize <= cap
+        assert hs.gaussian_power(3) is hs.gaussian_power(3)
+
     def test_frequency_tail_against_direct_quadrature(self):
         # The fig2 cutoffs sqrt(N) * N**(3/8) / (2*sqrt(2)) at N = 128, 192, 256.
         u = hs.gaussian_power(4)

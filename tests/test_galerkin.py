@@ -2,7 +2,10 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 from scipy.integrate import quad
+from scipy.linalg import solveh_banded
 
 import hermscale as hs
 from hermscale import galerkin
@@ -160,6 +163,27 @@ class TestSolve:
             c = galerkin.solve(problem, ScaledBasis(400, beta), grid)
             errs[beta] = galerkin.solution_error(c, u, include_h1=False)["l2"]
         assert errs[1.5] < errs[5.0]
+
+    @settings(max_examples=60)
+    @given(st.integers(0, 2000), st.floats(-3.0, 3.0), st.floats(-3.0, 3.0),
+           st.integers(0, 2 ** 32 - 1))
+    @example(0, 0.0, 0.0, 1)
+    @example(1, 3.0, -3.0, 2)
+    @example(2, -3.0, 3.0, 3)
+    def test_ldlt_matches_banded_cholesky(self, n, log_beta, log_gamma, seed):
+        system = galerkin.assemble(ScaledBasis(n, 10.0 ** log_beta), 10.0 ** log_gamma)
+        b = np.random.default_rng(seed).standard_normal(n + 1)
+        for start in (0, 1):
+            sl = slice(start, None, 2)
+            diag, off, rhs = system.diag[sl], system.offdiag2[sl], b[sl]
+            if diag.size == 0:
+                continue
+            got = galerkin._solve_tridiagonal_spd(diag, off, rhs)
+            if diag.size == 1:
+                ref = rhs / diag
+            else:
+                ref = solveh_banded(np.vstack([np.r_[0.0, off], diag]), rhs)
+            assert np.abs(got - ref).max() <= 1e-12 * np.abs(ref).max()
 
     def test_grid_mismatch(self):
         u = hs.algebraic(1.0)

@@ -80,6 +80,22 @@ class TestBudget:
         with pytest.raises(AccuracyError):
             adaptive_quad(lambda x: np.where(x > 0.5, np.nan, 1.0), -1.0, 1.0)
 
+    @pytest.mark.parametrize("vector", [False, True])
+    def test_infinite_values_raise(self, vector):
+        # inf meets the zero G7 weights in the contraction; that must end in
+        # AccuracyError, not in a RuntimeWarning from the matmul.
+        scalar = lambda x: np.where(np.abs(x - 0.3) < 0.05, np.inf, 1.0)
+        f = (lambda x: (np.ones_like(x), scalar(x))) if vector else scalar
+        with pytest.raises(AccuracyError, match="non-finite"):
+            adaptive_quad(f, -1.0, 1.0)
+
+    def test_infinite_value_met_while_refining(self):
+        # No initial abscissa lands within 1e-4 of the peak; bisection does.
+        f = lambda x: np.where(np.abs(x - 0.1234567) < 1e-4, np.inf,
+                               np.exp(-((x - 0.1234567) / 1e-3) ** 2))
+        with pytest.raises(AccuracyError, match="non-finite"):
+            adaptive_quad(f, -1.0, 1.0, abs_tol=1e-15, rel_tol=1e-12)
+
     def test_empty_interval_rejected(self):
         with pytest.raises(ValueError):
             adaptive_quad(np.exp, 1.0, 1.0)

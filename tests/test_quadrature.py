@@ -1,9 +1,35 @@
+import math
+import tracemalloc
+from collections import deque
+
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
+from scipy.linalg import eigh_tridiagonal
 
 import hermscale as hs
-from hermscale.basis import ScaledBasis, SpectralCoeffs
-from hermscale.quadrature import compute_grid, hermite_vandermonde
+from hermscale import quadrature
+from hermscale.basis import ScaledBasis, SpectralCoeffs, _hermite_rows
+from hermscale.quadrature import compute_grid
+
+
+def eigen_grid(n):
+    """Nodes from the eigenvalues of the Jacobi matrix, polished by one Newton
+    step on h_{n+1} and made symmetric, with the weights
+    1 / sum_{m<=n} h_m(x)**2 there: an independent construction."""
+    if n == 0:
+        nodes = np.array([0.0])
+    else:
+        nodes = eigh_tridiagonal(np.zeros(n + 1), np.sqrt(np.arange(1, n + 1) / 2.0),
+                                 eigvals_only=True)
+        h_n, h_np1 = deque(_hermite_rows(nodes, n + 1), maxlen=2)
+        nodes = nodes - h_np1 / (math.sqrt(2.0 * (n + 1)) * h_n - nodes * h_np1)
+        nodes = 0.5 * (nodes - nodes[::-1])
+        if n % 2 == 0:
+            nodes[n // 2] = 0.0
+    weights = 1.0 / sum(h * h for h in _hermite_rows(nodes, n))
+    return nodes, 0.5 * (weights + weights[::-1])
 
 
 class TestGridConstruction:
@@ -37,7 +63,7 @@ class TestGridConstruction:
     @pytest.mark.parametrize("n", [8, 64, 256, 1000])
     def test_discrete_orthonormality(self, n):
         g = compute_grid(n)
-        v = hermite_vandermonde(g)
+        v = hs.eval_hermite_functions(g.nodes, g.n_max)
         gram = (v * g.weights) @ v.T
         assert np.abs(gram - np.eye(n + 1)).max() < 1e-11
 
@@ -57,6 +83,31 @@ class TestGridConstruction:
         # b has one more node; each a-node sits strictly between b-neighbours
         for j in range(n + 1):
             assert b[j] < a[j] < b[j + 1]
+
+    @pytest.mark.parametrize("ns", [range(0, 301), [1000, 4096, 10000]])
+    def test_matches_eigenvalue_construction(self, ns):
+        worst_w = {}
+        for n in ns:
+            g = compute_grid(n)
+            nodes, weights = eigen_grid(n)
+            assert np.all(np.abs(g.nodes - nodes) <= 1e-14 * np.maximum(1.0, np.abs(nodes))), n
+            worst_w[n] = np.max(np.abs(g.weights - weights) / weights)
+        # Up to 2.6e-12 of roundoff from the recurrence sits in both weight
+        # sets at N = 10000 (40-digit check at six nodes), and it differs
+        # wherever a node differs in its last bit.
+        assert all(w <= (2e-12 if n > 4096 else 1e-12) for n, w in worst_w.items()), worst_w
+
+    @pytest.mark.parametrize("n", [64, 1000])
+    def test_at_most_three_passes(self, n, monkeypatch):
+        calls = []
+
+        def counting(x, n_max):
+            calls.append(n_max)
+            return _hermite_rows(x, n_max)
+
+        monkeypatch.setattr(quadrature, "_hermite_rows", counting)
+        compute_grid(n)
+        assert 1 <= len(calls) <= 3
 
     def test_guard_limit(self):
         with pytest.raises(ValueError):
@@ -116,9 +167,34 @@ class TestTransforms:
     def test_transform_matrices_inverse_pair(self):
         n = 512
         grid = compute_grid(n)
-        v = hermite_vandermonde(grid)
+        v = hs.eval_hermite_functions(grid.nodes, grid.n_max)
         product = (v * grid.weights) @ v.T
         assert np.abs(product - np.eye(n + 1)).max() < 1e-11
+
+    def test_transforms_stream_at_grid_limit(self):
+        # The Vandermonde matrix at this size would take 800 MB.
+        grid = compute_grid(quadrature.N_MAX_GRID)
+        values = np.cos(grid.nodes)
+        tracemalloc.start()
+        try:
+            c = hs.analysis(grid, values, 0.5)
+            back = hs.synthesis(grid, c)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < 16e6
+        assert np.abs(back - values).max() < 1e-13 * math.sqrt(grid.size)
+
+    @settings(max_examples=40)
+    @given(st.integers(0, 600), st.floats(-3.0, 3.0), st.integers(0, 2 ** 32 - 1))
+    @example(0, 0.0, 1)
+    @example(600, -3.0, 2)
+    @example(600, 3.0, 3)
+    def test_round_trip_at_nodes(self, n, log_beta, seed):
+        grid = compute_grid(n)
+        values = np.random.default_rng(seed).standard_normal(n + 1)
+        back = hs.synthesis(grid, hs.analysis(grid, values, 10.0 ** log_beta))
+        assert np.abs(back - values).max() <= 1e-13 * math.sqrt(n + 1) * np.abs(values).max()
 
     def test_size_mismatch_rejected(self):
         grid = compute_grid(4)
