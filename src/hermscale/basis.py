@@ -33,6 +33,13 @@ _RESCALE = 2.0 ** _RESCALE_BITS
 _UNSCALE = 2.0 ** -_RESCALE_BITS
 
 
+def _check_index(n_max, least: int = 0, limit: int = N_MAX_LIMIT) -> int:
+    """n_max as an int, after checking that it is an integer in [least, limit]."""
+    if not isinstance(n_max, (int, np.integer)) or not least <= n_max <= limit:
+        raise ValueError(f"n_max must be an integer in [{least}, {limit}], got {n_max}")
+    return int(n_max)
+
+
 @dataclass(frozen=True)
 class ScaledBasis:
     """Truncated scaled Hermite basis: elements phi_0 .. phi_{n_max}."""
@@ -41,10 +48,7 @@ class ScaledBasis:
     beta: float = 1.0
 
     def __post_init__(self):
-        if not isinstance(self.n_max, (int, np.integer)) or self.n_max < 0:
-            raise ValueError(f"n_max must be a non-negative integer, got {self.n_max}")
-        if self.n_max > N_MAX_LIMIT:
-            raise ValueError(f"n_max={self.n_max} exceeds guard limit {N_MAX_LIMIT}")
+        _check_index(self.n_max)
         if not BETA_MIN <= self.beta <= BETA_MAX:
             raise ValueError(f"beta={self.beta} at N={self.n_max} is outside "
                              f"[{BETA_MIN:g}, {BETA_MAX:g}]")
@@ -158,10 +162,7 @@ def eval_hermite_functions(x, n_max: int) -> np.ndarray:
     underflows, |x| > ~37.6), so each column equals the evaluation at that
     point alone and stays correct for any n within the guard limit.
     """
-    if not isinstance(n_max, (int, np.integer)) or n_max < 0:
-        raise ValueError(f"n_max must be a non-negative integer, got {n_max}")
-    if n_max > N_MAX_LIMIT:
-        raise ValueError(f"n_max={n_max} exceeds guard limit {N_MAX_LIMIT}")
+    _check_index(n_max)
     x = _validate_points(x)
     xv = np.atleast_1d(x).ravel()
     out = np.empty((n_max + 1, xv.size))
@@ -195,6 +196,11 @@ def _series(c: np.ndarray, x: np.ndarray) -> np.ndarray:
     return acc
 
 
+def _derivative_band(beta: float, size: int) -> np.ndarray:
+    """beta*sqrt((n+1)/2), n < size: both diagonals of derivative_matrix."""
+    return beta * np.sqrt(np.arange(1, size + 1) / 2.0)
+
+
 def derivative_matrix(basis: ScaledBasis) -> np.ndarray:
     """Matrix mapping coefficients in `basis` to coefficients of the derivative.
 
@@ -202,19 +208,22 @@ def derivative_matrix(basis: ScaledBasis) -> np.ndarray:
     shape (N+2, N+1) with D[n-1, n] = beta*sqrt(n/2) and
     D[n+1, n] = -beta*sqrt((n+1)/2); the output lives in ScaledBasis(N+1, beta).
     """
-    n = basis.n_max
-    d = np.zeros((n + 2, n + 1))
-    ks = np.arange(n + 1)
-    d[ks[1:] - 1, ks[1:]] = basis.beta * np.sqrt(ks[1:] / 2.0)
-    d[ks + 1, ks] = -basis.beta * np.sqrt((ks + 1) / 2.0)
+    band = _derivative_band(basis.beta, basis.size)
+    d = np.zeros((basis.n_max + 2, basis.n_max + 1))
+    np.fill_diagonal(d[:, 1:], band[:-1])
+    np.fill_diagonal(d[1:], -band)
     return d
 
 
 def differentiate(coeffs: SpectralCoeffs) -> SpectralCoeffs:
-    """Coefficients of the derivative, one basis index longer."""
-    d = derivative_matrix(coeffs.basis)
-    return SpectralCoeffs(ScaledBasis(coeffs.basis.n_max + 1, coeffs.basis.beta),
-                          d @ coeffs.values)
+    """Coefficients of the derivative, one basis index longer: D @ c from
+    the two diagonals of D = derivative_matrix, in O(N) time and memory."""
+    basis, c = coeffs.basis, coeffs.values
+    band = _derivative_band(basis.beta, c.size)
+    out = np.zeros(c.size + 1, dtype=np.result_type(c, float))
+    out[:-2] = band[:-1] * c[1:]
+    out[1:] -= band * c
+    return SpectralCoeffs(ScaledBasis(basis.n_max + 1, basis.beta), out)
 
 
 def gaussian_coefficients(params: GaussianParams, n_max: int) -> np.ndarray:
@@ -224,8 +233,7 @@ def gaussian_coefficients(params: GaussianParams, n_max: int) -> np.ndarray:
     z = k - i*s; the ratio (i*z)/sqrt(2(n+1)) is accumulated term by term so
     2**n * n! never appears.
     """
-    if not isinstance(n_max, (int, np.integer)) or n_max < 0:
-        raise ValueError(f"n_max must be a non-negative integer, got {n_max}")
+    _check_index(n_max)
     z = params.z
     c = np.empty(n_max + 1, dtype=complex)
     c[0] = np.pi ** 0.25 * np.exp(-z * z / 4.0 - params.shift ** 2 / 2.0)
@@ -243,8 +251,7 @@ def gaussian_coefficients_recurrence(m: float, k: float, n_max: int,
 
     seeded with the caller-supplied c0, c1.
     """
-    if not isinstance(n_max, (int, np.integer)) or n_max < 1:
-        raise ValueError(f"n_max must be an integer >= 1, got {n_max}")
+    _check_index(n_max, least=1)
     if m < 0:
         raise ValueError(f"m must be non-negative, got {m}")
     c = np.empty(n_max + 1, dtype=complex)

@@ -153,8 +153,9 @@ class DecayMeta:
 class TestFunction:
     """A function u with its transform, tail-norm evaluators and metadata.
 
-    eval_Fu of derivative entries is the real representative k**m * F[u](k)
-    whose magnitude equals |F[d^m u]|; tail norms only ever use magnitudes.
+    derivative() is the one way to u' and u'': each is a catalog entry of its
+    own, whose eval_Fu is k**m * F[u](k), of magnitude |F[d^m u]|; tail norms
+    only ever use magnitudes.
     """
 
     __test__ = False  # "Test" prefix is domain vocabulary, not a pytest class
@@ -166,9 +167,6 @@ class TestFunction:
     frequency_tail: Callable[[float], float]
     l2_norm: float
     decay_meta: DecayMeta
-    eval_du: Optional[Callable] = None
-    eval_d2u: Optional[Callable] = None
-    complex_valued: bool = False
     derivative_factory: Optional[Callable] = None
 
     def derivative(self) -> "TestFunction":
@@ -200,9 +198,6 @@ def _derived_entry(parent: TestFunction, eval_v, eval_dv=None,
     if frequency_tail is None:
         frequency_tail = partial(tail_norm, fu)
 
-    def chain():
-        return _derived_entry(entry, eval_dv)
-
     entry = TestFunction(
         id=f"d/dx[{parent.id}]",
         eval_u=eval_v,
@@ -211,8 +206,7 @@ def _derived_entry(parent: TestFunction, eval_v, eval_dv=None,
         frequency_tail=frequency_tail,
         l2_norm=spatial_tail(0.0),
         decay_meta=meta or parent.decay_meta,
-        eval_du=eval_dv,
-        derivative_factory=chain if eval_dv is not None else None,
+        derivative_factory=None if eval_dv is None else lambda: _derived_entry(entry, eval_dv),
     )
     return entry
 
@@ -258,7 +252,6 @@ def plain_gaussian(sigma: float = 1.0) -> TestFunction:
         spatial_tail=spatial, frequency_tail=frequency,
         l2_norm=math.sqrt(sigma * _SQRT_PI),
         decay_meta=DecayMeta("exponential", 2.0, "exponential", 2.0),
-        eval_du=du, eval_d2u=d2u,
         derivative_factory=deriv,
     )
     return entry
@@ -267,9 +260,9 @@ def plain_gaussian(sigma: float = 1.0) -> TestFunction:
 def gaussian(freq: float, shift: float = 0.0) -> TestFunction:
     """Modulated shifted Gaussian g(x) = exp(-(x-shift)**2/2 + i*freq*x).
 
-    Complex-valued; both tails are erfc closed forms of |g| and |F[g]|
-    (each side of the cutoff integrated separately since the mass centers
-    sit at `shift` and `freq`).
+    Complex-valued; both tails, and those of the derivative entry, are erfc
+    closed forms of |g| and |F[g]| (each side of the cutoff integrated
+    separately since the mass centers sit at `shift` and `freq`).
     """
     if not (np.isfinite(freq) and np.isfinite(shift)):
         raise ValueError("freq and shift must be finite")
@@ -287,20 +280,32 @@ def gaussian(freq: float, shift: float = 0.0) -> TestFunction:
         x = np.asarray(x)
         return (-(x - shift) + 1j * freq) * g(x)
 
-    def two_sided(c, center):
-        return math.sqrt(0.5 * _SQRT_PI * (math.erfc(c - center)
-                                           + math.erfc(c + center)))
+    def two_sided(c, center, y2=0.0, y1=0.0, y0=1.0):
+        # sqrt of the integral over |t| > c of (y2*y**2 + 2*y1*y + y0) *
+        # exp(-y**2), y = t - center, in closed form on each side of the cutoff.
+        a, b = c - center, c + center
+        return math.sqrt(y2 * (_gaussian_moment_tail(1.0, a) + _gaussian_moment_tail(1.0, b))
+                         + y1 * (math.exp(-a * a) - math.exp(-b * b))
+                         + y0 * 0.5 * _SQRT_PI * (math.erfc(a) + math.erfc(b)))
 
-    return TestFunction(
+    def deriv():
+        # |g'|**2 = ((x-shift)**2 + freq**2) * exp(-(x-shift)**2) and
+        # |xi*F[g]|**2 = ((xi-freq) + freq)**2 * exp(-(xi-freq)**2).
+        k2 = freq * freq
+        return _derived_entry(entry, dg,
+                              spatial_tail=lambda m: two_sided(m, shift, y2=1.0, y0=k2),
+                              frequency_tail=lambda k: two_sided(k, freq, 1.0, freq, k2))
+
+    entry = TestFunction(
         id=f"gaussian({freq:g},{shift:g})",
         eval_u=g, eval_Fu=fg,
         spatial_tail=lambda m: two_sided(m, shift),
         frequency_tail=lambda k: two_sided(k, freq),
         l2_norm=math.pi ** 0.25,
         decay_meta=DecayMeta("exponential", 2.0, "exponential", 2.0),
-        eval_du=dg,
-        complex_valued=True,
+        derivative_factory=deriv,
     )
+    return entry
 
 
 def algebraic(h: float) -> TestFunction:
@@ -344,7 +349,6 @@ def algebraic(h: float) -> TestFunction:
         spatial_tail=spatial, frequency_tail=frequency,
         l2_norm=math.sqrt(_SQRT_PI * math.gamma(2.0 * h - 0.5) / math.gamma(2.0 * h)),
         decay_meta=DecayMeta("algebraic", h, "exponential", 1.0),
-        eval_du=du, eval_d2u=d2u,
         derivative_factory=deriv,
     )
     return entry
@@ -433,7 +437,6 @@ def gaussian_power(n: int) -> TestFunction:
         spatial_tail=spatial, frequency_tail=frequency,
         l2_norm=l2,
         decay_meta=DecayMeta("exponential", float(two_n), "exponential", freq_rate),
-        eval_du=du, eval_d2u=d2u,
         derivative_factory=deriv,
     )
     return entry

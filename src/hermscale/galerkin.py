@@ -107,15 +107,13 @@ def manufactured_problem(exact: TestFunction, gamma: float = 1.0) -> ModelProble
     """Model problem whose exact solution is the given catalog entry.
 
     The right-hand side gamma*u - u'' is wrapped as a catalog entry of its
-    own: F[f] = (gamma + k**2)*F[u] in closed form, tails by adaptive
-    quadrature.
+    own: u'' is exact.derivative().derivative(), F[f] = (gamma + k**2)*F[u]
+    in closed form, tails by adaptive quadrature.
     """
-    if exact.eval_d2u is None:
-        raise ValueError(f"{exact.id}: second derivative required to "
-                         "manufacture a right-hand side")
+    d2u = exact.derivative().derivative().eval_u
 
     def f_eval(x):
-        return gamma * exact.eval_u(x) - exact.eval_d2u(x)
+        return gamma * exact.eval_u(x) - d2u(x)
 
     def f_transform(k):
         return (gamma + np.asarray(k) ** 2) * exact.eval_Fu(k)
@@ -148,20 +146,16 @@ def discrete_solution_error(coeffs: SpectralCoeffs, exact: TestFunction,
 
 
 def solution_error(coeffs: SpectralCoeffs, exact: TestFunction,
-                   include_h1: bool = True, rel_tol: float = 1e-9) -> dict:
+                   include_h1: bool = True) -> dict:
     """L2 (and H1) distance between the exact solution and the coefficients.
 
-    The H1 part synthesizes the discrete derivative through the coefficient
-    derivative map and needs the exact derivative evaluator.
+    The H1 part measures the discrete derivative (the coefficient derivative
+    map) against the entry exact.derivative().
     """
-    l2 = residual_l2(exact.eval_u, exact.spatial_tail, coeffs, rel_tol=rel_tol)
+    l2 = residual_l2(exact, coeffs)
     out = {"l2": l2, "h1": None}
     if not include_h1:
         return out
-    if exact.eval_du is None:
-        raise ValueError(f"{exact.id}: derivative evaluator required for the "
-                         "H1 error")
-    dl2 = residual_l2(exact.eval_du, partial(tail_norm, exact.eval_du),
-                      differentiate(coeffs), rel_tol=rel_tol)
+    dl2 = residual_l2(exact.derivative(), differentiate(coeffs))
     out["h1"] = math.sqrt(l2 * l2 + dl2 * dl2)
     return out

@@ -29,6 +29,11 @@ SPATIAL_CUTOFF_FACTOR = 1.0 / (2.0 * math.sqrt(2.0))
 FREQUENCY_CUTOFF_FACTOR = 1.0 / (2.0 * math.sqrt(2.0))
 HERMITE_DECAY_RATE = 1.0 / 16.0
 
+_SUPPORT_PAD = 12.0  # unscaled units past phi_N's turning point: envelope < ~1e-30
+_RESIDUAL_REL_TOL = 1e-9  # of residual_l2's squared-residual integral
+_BALANCE_LOG_TOL = 1e-6  # balance_scaling's |log(spatial) - log(frequency)| stop
+_ROOT_WIDTH = 1e-3  # transition_point's final bracket width
+
 
 @dataclass(frozen=True)
 class ErrorBreakdown:
@@ -37,24 +42,22 @@ class ErrorBreakdown:
     spatial: float
     frequency: float
     hermite: float
-    total: float = None
 
     def __post_init__(self):
         for name in ("spatial", "frequency", "hermite"):
             v = getattr(self, name)
             if not (np.isfinite(v) and v >= 0):
                 raise ValueError(f"{name} component must be finite and >= 0, got {v}")
-        object.__setattr__(self, "total",
-                           self.spatial + self.frequency + self.hermite)
+
+    @property
+    def total(self) -> float:
+        return self.spatial + self.frequency + self.hermite
 
 
-def support_radius(basis: ScaledBasis, pad: float = 12.0) -> float:
-    """Half-width beyond which every basis element is numerically negligible.
-
-    The turning point of phi_N sits at sqrt(2N+1)/beta; `pad` extra units in
-    the unscaled variable push the envelope below ~1e-30.
-    """
-    return (math.sqrt(2.0 * basis.n_max + 1.0) + pad) / basis.beta
+def support_radius(basis: ScaledBasis) -> float:
+    """Half-width beyond which every basis element is numerically negligible:
+    the turning point sqrt(2N+1)/beta of phi_N plus _SUPPORT_PAD/beta."""
+    return (math.sqrt(2.0 * basis.n_max + 1.0) + _SUPPORT_PAD) / basis.beta
 
 
 def project(u: TestFunction, basis: ScaledBasis, tol: float = 1e-11) -> SpectralCoeffs:
@@ -96,8 +99,7 @@ def interpolate(u: TestFunction, basis: ScaledBasis,
     return analysis(grid, values, basis.beta)
 
 
-def residual_l2(eval_u, spatial_tail, coeffs: SpectralCoeffs,
-                rel_tol: float = 1e-9) -> float:
+def residual_l2(u: TestFunction, coeffs: SpectralCoeffs) -> float:
     """|| u - (function represented by coeffs) || in L2.
 
     Adaptive quadrature of the squared pointwise residual over the basis
@@ -107,7 +109,7 @@ def residual_l2(eval_u, spatial_tail, coeffs: SpectralCoeffs,
     x_max = support_radius(coeffs.basis)
 
     def f(x):
-        r = eval_u(x) - synthesize(coeffs, x)
+        r = u.eval_u(x) - synthesize(coeffs, x)
         return (r * r.conjugate()).real
 
     # Below the cancellation floor of u(x) - u_N(x) the integrand is pure
@@ -115,23 +117,22 @@ def residual_l2(eval_u, spatial_tail, coeffs: SpectralCoeffs,
     noise = 2e-14 * max(1.0, float(np.linalg.norm(coeffs.values)))
     floor = noise * noise * 2.0 * x_max
     core = adaptive_quad(f, -x_max, x_max, abs_tol=max(1e-30, floor),
-                         rel_tol=rel_tol,
+                         rel_tol=_RESIDUAL_REL_TOL,
                          initial=max(32, 2 * coeffs.basis.n_max + 16),
                          max_panels=40000, label="squared residual")
-    tail = spatial_tail(x_max)
+    tail = u.spatial_tail(x_max)
     return math.sqrt(max(core, 0.0) + tail * tail)
 
 
-def projection_error(u: TestFunction, basis: ScaledBasis,
-                     tol: float = 1e-11) -> float:
+def projection_error(u: TestFunction, basis: ScaledBasis) -> float:
     """Measured best-approximation error ||u - proj_N^beta u||.
 
     Checked against Parseval's sqrt(||u||**2 - ||c||**2) wherever that is
     above 1e-4 * ||u||, so that its cancellation stays harmless: an
     AccuracyError when the two differ by more than 1e-6 relative.
     """
-    coeffs = project(u, basis, tol=tol)
-    error = residual_l2(u.eval_u, u.spatial_tail, coeffs)
+    coeffs = project(u, basis)
+    error = residual_l2(u, coeffs)
     parseval = math.sqrt(max(u.l2_norm ** 2 - coeffs.norm ** 2, 0.0))
     if parseval > 1e-4 * u.l2_norm and abs(error - parseval) > 1e-6 * parseval:
         raise AccuracyError(
@@ -145,7 +146,7 @@ def interpolation_error(u: TestFunction, basis: ScaledBasis,
                         grid: CollocationGrid) -> float:
     """Measured interpolation error ||u - interp_N^beta u||."""
     coeffs = interpolate(u, basis, grid)
-    return residual_l2(u.eval_u, u.spatial_tail, coeffs)
+    return residual_l2(u, coeffs)
 
 
 def error_breakdown(u: TestFunction, basis: ScaledBasis) -> ErrorBreakdown:
@@ -158,34 +159,30 @@ def error_breakdown(u: TestFunction, basis: ScaledBasis) -> ErrorBreakdown:
     )
 
 
-def indicator_sum(u: TestFunction, derivatives, basis: ScaledBasis,
-                  level: int = 0) -> float:
-    """Derivative-level indicator.
+def indicator_sum(u: TestFunction, basis: ScaledBasis, level: int = 0) -> float:
+    """Derivative-level indicator, with u' = u.derivative() and
+    u'' = u'.derivative().
 
     level 0: E(u); level 1: E(u') + beta*sqrt(N)*E(u);
     level 2: E(u'') + beta*E(u') + beta**2*N*E(u); coefficients exactly as
     in the derivative-error bounds (the level-2 middle factor is beta, not
-    beta*sqrt(N)).
+    beta*sqrt(N)).  ValueError when u lacks a derivative entry the level needs.
     """
     if level not in (0, 1, 2):
         raise ValueError(f"level must be 0, 1 or 2, got {level}")
-    derivatives = list(derivatives or [])
-    if len(derivatives) < level:
-        raise ValueError(f"level {level} needs {level} derivative entries, "
-                         f"got {len(derivatives)}")
     beta, n = basis.beta, basis.n_max
     e_u = error_breakdown(u, basis).total
     if level == 0:
         return e_u
-    e_du = error_breakdown(derivatives[0], basis).total
+    du = u.derivative()
+    e_du = error_breakdown(du, basis).total
     if level == 1:
         return e_du + beta * math.sqrt(n) * e_u
-    e_d2u = error_breakdown(derivatives[1], basis).total
+    e_d2u = error_breakdown(du.derivative(), basis).total
     return e_d2u + beta * e_du + beta * beta * n * e_u
 
 
-def balance_scaling(u: TestFunction, n_max: int, bracket,
-                    log_tol: float = 1e-6) -> float:
+def balance_scaling(u: TestFunction, n_max: int, bracket) -> float:
     """Scale beta* equalizing the spatial and frequency indicator components.
 
     Bisection on log(spatial) - log(frequency), which is monotone increasing
@@ -210,9 +207,9 @@ def balance_scaling(u: TestFunction, n_max: int, bracket,
         return math.log(e_s) - math.log(e_f)
 
     g_lo, g_hi = log_diff(lo), log_diff(hi)
-    if abs(g_lo) < log_tol:
+    if abs(g_lo) < _BALANCE_LOG_TOL:
         return lo
-    if abs(g_hi) < log_tol:
+    if abs(g_hi) < _BALANCE_LOG_TOL:
         return hi
     if not (g_lo < 0.0 < g_hi):
         raise BracketError(
@@ -222,7 +219,7 @@ def balance_scaling(u: TestFunction, n_max: int, bracket,
     while hi - lo > 1e-13 * max(1.0, hi):
         mid = 0.5 * (lo + hi)
         g_mid = log_diff(mid)
-        if abs(g_mid) < log_tol:
+        if abs(g_mid) < _BALANCE_LOG_TOL:
             return mid
         if g_mid < 0.0:
             lo = mid
@@ -230,16 +227,16 @@ def balance_scaling(u: TestFunction, n_max: int, bracket,
             hi = mid
     raise AccuracyError(
         f"{u.id}: balance bisection saturated near beta={0.5 * (lo + hi):g} "
-        f"without reaching |log-difference| < {log_tol:g} (tail underflow "
+        f"without reaching |log-difference| < {_BALANCE_LOG_TOL:g} (tail underflow "
         f"or discontinuity)", achieved=abs(g_mid) if math.isfinite(g_mid) else None)
 
 
-def transition_point(u: TestFunction, bracket, width_tol: float = 1e-3) -> float:
+def transition_point(u: TestFunction, bracket) -> float:
     """Collocation half-width c = sqrt(2N) at which the raw spatial and
     frequency tails over [-c, c] balance.
 
     Returns the root of c -> spatial_tail(c) - frequency_tail(c) by
-    bisection; the corresponding truncation index is c**2/2.  Self-dual
+    bisection to a bracket of width _ROOT_WIDTH; the corresponding truncation index is c**2/2.  Self-dual
     inputs make the difference vanish identically and are rejected as
     degenerate.
     """
@@ -262,7 +259,7 @@ def transition_point(u: TestFunction, bracket, width_tol: float = 1e-3) -> float
     if f_lo * f_hi > 0.0:
         raise BracketError(f"{u.id}: tail difference does not change sign on "
                            f"[{lo:g}, {hi:g}]", f_lo=f_lo, f_hi=f_hi)
-    while hi - lo > width_tol:
+    while hi - lo > _ROOT_WIDTH:
         mid = 0.5 * (lo + hi)
         f_mid = f(mid)
         if f_mid == 0.0:

@@ -18,7 +18,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .basis import ScaledBasis, SpectralCoeffs, _hermite_rows, _series
+from .basis import ScaledBasis, SpectralCoeffs, _check_index, _hermite_rows, _series
 
 N_MAX_GRID = 10_000
 
@@ -100,9 +100,7 @@ def compute_grid(n_max: int) -> CollocationGrid:
     are all within a few ulp gives the nodes and weights, mirrored so the
     grid is exactly symmetric: two passes from N = 42 on, three below.
     """
-    if not isinstance(n_max, (int, np.integer)) or not 0 <= n_max <= N_MAX_GRID:
-        raise ValueError(f"n_max must be an integer in [0, {N_MAX_GRID}], got {n_max}")
-    n = int(n_max)
+    n = _check_index(n_max, limit=N_MAX_GRID)
     x = _root_guesses(n)
     for _ in range(_NEWTON_PASSES):
         rows = _hermite_rows(x, n + 1)

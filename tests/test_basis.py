@@ -4,7 +4,7 @@ import warnings
 import mpmath
 import numpy as np
 import pytest
-from hypothesis import given
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 import hermscale as hs
@@ -211,16 +211,47 @@ class TestDerivativeMatrix:
         d2 = hs.derivative_matrix(ScaledBasis(7, 2.0))
         assert np.allclose(d2, 2.0 * d1)
 
-    def test_against_finite_differences(self):
-        rng = np.random.default_rng(7)
-        basis = ScaledBasis(16, 1.3)
-        c = SpectralCoeffs(basis, rng.standard_normal(17))
+    @settings(max_examples=30)
+    @given(st.integers(0, 400), st.floats(-2.0, 2.0), st.integers(0, 2 ** 32 - 1))
+    @example(n=16, log10_beta=np.log10(1.3), seed=7)
+    def test_against_finite_differences(self, n, log10_beta, seed):
+        # Central differences of the synthesized series at points inside the
+        # turning points; the step follows the fastest oscillation
+        # beta*sqrt(2N+1), so the O(h**2) error stays near 1e-9 relative.
+        rng = np.random.default_rng(seed)
+        basis = ScaledBasis(n, 10.0 ** log10_beta)
+        c = SpectralCoeffs(basis, rng.standard_normal(n + 1))
         dc = hs.differentiate(c)
-        x = rng.uniform(-3.0, 3.0, 20)
-        h = 1e-5
+        omega = basis.beta * np.sqrt(2.0 * n + 1.0)
+        x = rng.uniform(-1.0, 1.0, 20) * np.sqrt(2.0 * n + 1.0) / basis.beta
+        h = 1e-4 / omega
         fd = (hs.synthesize(c, x + h) - hs.synthesize(c, x - h)) / (2.0 * h)
         exact = hs.synthesize(dc, x)
         assert np.abs(fd - exact).max() / np.abs(exact).max() < 1e-6
+
+    @pytest.mark.parametrize("n", [0, 1, 2, 64, 1000])
+    @pytest.mark.parametrize("beta", [1e-3, 1.3, 1e3])
+    def test_differentiate_is_matrix_product(self, n, beta):
+        rng = np.random.default_rng(n)
+        basis = ScaledBasis(n, beta)
+        for c in (rng.standard_normal(n + 1),
+                  rng.standard_normal(n + 1) + 1j * rng.standard_normal(n + 1)):
+            got = hs.differentiate(SpectralCoeffs(basis, c))
+            expect = hs.derivative_matrix(basis) @ c
+            assert got.basis == ScaledBasis(n + 1, beta)
+            assert np.abs(got.values - expect).max() <= 1e-15 * np.abs(expect).max()
+
+    def test_differentiate_memory_linear(self):
+        # derivative_matrix(ScaledBasis(4000)) alone is 128 MB.
+        basis = ScaledBasis(4000, 1.0)
+        c = SpectralCoeffs(basis, np.random.default_rng(3).standard_normal(4001))
+        tracemalloc.start()
+        try:
+            hs.differentiate(c)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < 2 * 2 ** 20
 
     @pytest.mark.parametrize("n", [1, 7, 50, 200])
     def test_singular_value_bound(self, n):
@@ -247,6 +278,14 @@ class TestGaussianCoefficients:
     def test_no_overflow_at_high_order(self):
         c = hs.gaussian_coefficients(hs.GaussianParams(30.0, 0.0), 4000)
         assert np.all(np.isfinite(c.view(float)))
+
+    def test_index_limit(self):
+        params = hs.GaussianParams(1.0, 0.0)
+        for bad in (N_MAX_LIMIT + 1, -1, 2.0):
+            with pytest.raises(ValueError):
+                hs.gaussian_coefficients(params, bad)
+            with pytest.raises(ValueError):
+                hs.gaussian_coefficients_recurrence(0.5, 1.0, bad, 1.0, 0.0)
 
 
 class TestCoefficientRecurrence:

@@ -16,6 +16,22 @@ from hermscale.fourier import catalog_entry
 
 from conftest import numerical_fourier
 
+# Every catalog family over the parameters its constructor accepts (sigma
+# over six decades; |k|, |s| to 30, where the mass still sits near the grid).
+CATALOG_ENTRIES = st.one_of(
+    st.builds(hs.plain_gaussian, st.floats(-3.0, 3.0).map(lambda e: 10.0 ** e)),
+    st.builds(hs.gaussian, st.floats(-30.0, 30.0), st.floats(-30.0, 30.0)),
+    st.builds(hs.algebraic, st.floats(0.5, 30.0, exclude_min=True)),
+    st.builds(hs.gaussian_power, st.integers(1, 40)))
+
+
+def derivative_chain(u):
+    """u followed by every derivative entry it has: u, u', u'', ..."""
+    chain = [u]
+    while chain[-1].derivative_factory is not None:
+        chain.append(chain[-1].derivative())
+    return chain
+
 
 def algebraic_frequency_tail_by_quad(h, kc):
     """||F[u] 1_{|k|>kc}|| for u = (1+x**2)**(-h) from scipy's kv and quad.
@@ -352,7 +368,7 @@ class TestCatalog:
 
     def test_oracle_consistency_real_entries(self, small_catalog):
         for u in small_catalog:
-            if u.complex_valued:
+            if np.iscomplexobj(u.eval_u(np.zeros(1))):
                 continue
             for k in (0.5, 1.0, 2.0, 5.0):
                 direct = numerical_fourier(u.eval_u, k, 1e-9)
@@ -413,11 +429,51 @@ class TestCatalog:
         # closed-form tails against the generic adaptive oracle
         for m in (0.0, 1.0, 2.5):
             assert du.spatial_tail(m) == \
-                pytest.approx(hs.tail_norm(u.eval_du, m), abs=1e-8)
+                pytest.approx(hs.tail_norm(du.eval_u, m), abs=1e-8)
         # Parseval for the derivative: ||u'|| = ||k F[u]||
         assert abs(du.spatial_tail(0.0) - du.frequency_tail(0.0)) < 1e-8
         with pytest.raises(ValueError):
-            hs.gaussian(1.0, 0.0).derivative()
+            hs.gaussian(1.0, 0.0).derivative().derivative()
+
+    @pytest.mark.parametrize("freq, shift", [(0.0, 0.0), (1.5, 0.7), (-3.0, 2.0),
+                                             (0.0, 20.0)])
+    def test_gaussian_derivative_tails(self, freq, shift):
+        # Closed forms against quadrature of |g'|**2 and xi**2 |F[g]|**2 on
+        # each side of the cutoff.
+        du = hs.gaussian(freq, shift).derivative()
+        assert du.l2_norm == pytest.approx(
+            math.sqrt(math.sqrt(math.pi) * (0.5 + freq * freq)), rel=1e-14)
+        for c in (0.0, 1.0, 2.5, 8.0, 16.1):
+            for tail, f in ((du.spatial_tail, du.eval_u), (du.frequency_tail, du.eval_Fu)):
+                sq = lambda x: abs(complex(f(x))) ** 2
+                expect = math.sqrt(
+                    quad(sq, c, math.inf, epsabs=0.0, epsrel=1e-13, limit=400)[0]
+                    + quad(sq, -math.inf, -c, epsabs=0.0, epsrel=1e-13, limit=400)[0])
+                assert tail(c) == pytest.approx(expect, rel=1e-10), (c, tail)
+
+    @settings(max_examples=40)
+    @given(CATALOG_ENTRIES, st.lists(st.floats(0.0, 40.0), min_size=1, max_size=6))
+    def test_tails_monotone_for_every_entry(self, u, cutoffs):
+        # For u and each derivative entry: both tails at cutoff 0 are the norm,
+        # and neither grows with the cutoff beyond 1e-10 relative, the error
+        # allowance of two tail_norm results (each to 1e-11 on the squared
+        # integral).  A tail whose integrand is already subnormal at the
+        # cutoff (gaussian_power evaluators just below their exact-zero edge)
+        # has too few bits for tail_norm's tolerance and may raise
+        # AccuracyError instead of returning a number.
+        cuts = [0.0] + sorted(cutoffs)
+        for e in derivative_chain(u):
+            assert e.spatial_tail(0.0) == pytest.approx(e.l2_norm, rel=1e-8), e.id
+            assert e.frequency_tail(0.0) == pytest.approx(e.l2_norm, rel=1e-8), e.id
+            for tail, f in ((e.spatial_tail, e.eval_u), (e.frequency_tail, e.eval_Fu)):
+                values = []
+                for c in cuts:
+                    try:
+                        values.append(tail(c))
+                    except hs.AccuracyError:
+                        assert abs(complex(f(c))) < np.finfo(float).tiny, (e.id, c)
+                assert all(b <= a * (1.0 + 1e-10) for a, b in zip(values, values[1:])), \
+                    (e.id, cuts, values)
 
     def test_complex_entry_values(self):
         g = hs.gaussian(2.0, 1.0)
@@ -469,9 +525,7 @@ class TestCatalog:
         x = np.r_[xs, 0.0, 1.0, 90.0, 1.9e6, 2.9e10, -1e12, 1e12]
         for u in (hs.gaussian_power(n), hs.algebraic(h), hs.plain_gaussian(sigma),
                   hs.gaussian(freq, shift)):
-            for ev in (u.eval_u, u.eval_du, u.eval_d2u, u.eval_Fu):
-                if ev is None:
-                    continue
+            for ev in [u.eval_Fu] + [e.eval_u for e in derivative_chain(u)]:
                 with warnings.catch_warnings():
                     warnings.simplefilter("error")
                     assert np.all(np.isfinite(ev(x))), (u.id, ev)

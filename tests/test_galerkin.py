@@ -220,15 +220,33 @@ class TestSolutionError:
             assert err["h1"] >= err["l2"]
 
     def test_complex_entry_h1(self):
-        # gaussian(k, s) has no derivative entry; its derivative tail is the
-        # tail of |u'|, so the full-line H1 error of an exact-to-rounding
-        # expansion is as small as its L2 error.
+        # gaussian(k, s)'s derivative entry has closed-form two-sided tails,
+        # so the full-line H1 error of an exact-to-rounding expansion is as
+        # small as its L2 error.
         u = hs.gaussian(1.0, 0.5)
         basis = ScaledBasis(64, 1.0)
         c = hs.interpolate(u, basis, compute_grid(64))
         err = galerkin.solution_error(c, u)
         assert err["l2"] < 1e-10
         assert err["l2"] <= err["h1"] < 1e-8
+
+    def test_h1_of_shifted_gaussian(self):
+        # Centred at 20, u lies almost wholly beyond the basis window
+        # (support radius sqrt(17) + 12 = 16.1), so the H1 error is about
+        # ||u||_H1 = (3 sqrt(pi) / 2)**(1/2) = 1.6305; the mass of u' past the
+        # window is one-sided and must be counted once.  Oracle: scipy quad of
+        # the squared pointwise errors over the whole line.
+        u = hs.gaussian(0.0, 20.0)
+        c = hs.project(u, ScaledBasis(8, 1.0))
+        squared = 0.0
+        for f, s in ((u.eval_u, c), (u.derivative().eval_u, hs.differentiate(c))):
+            sq = lambda x: abs(complex(f(x)) - complex(hs.synthesize(s, x))) ** 2
+            squared += sum(quad(sq, a, b, epsabs=0.0, epsrel=1e-13, limit=500)[0]
+                           for a, b in ((-np.inf, -20.0), (-20.0, 0.0), (0.0, 20.0),
+                                        (20.0, np.inf)))
+        assert math.sqrt(squared) == pytest.approx(1.6305, rel=1e-4)
+        assert galerkin.solution_error(c, u)["h1"] == \
+            pytest.approx(math.sqrt(squared), rel=1e-6)
 
     def test_requires_derivative(self):
         u = hs.algebraic(1.0)
@@ -270,10 +288,8 @@ class TestCeaSanity:
 
                 p = hs.project(u, basis, tol=1e-12)
                 from hermscale.operators import residual_l2
-                pl2 = residual_l2(u.eval_u, u.spatial_tail, p)
-                dp = hs.differentiate(p)
-                du = u.derivative()
-                pd = residual_l2(u.eval_du, du.spatial_tail, dp)
+                pl2 = residual_l2(u, p)
+                pd = residual_l2(u.derivative(), hs.differentiate(p))
                 proj_h1 = math.sqrt(pl2 ** 2 + pd ** 2)
 
                 f_int = hs.interpolation_error(problem.rhs, basis, grid)

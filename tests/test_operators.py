@@ -57,7 +57,7 @@ class TestProjection:
         p = hs.project(u, basis, tol=1e-12)
         for _ in range(8):
             other = SpectralCoeffs(basis, p.values + 0.03 * rng.standard_normal(11))
-            e = residual_l2(u.eval_u, u.spatial_tail, other)
+            e = residual_l2(u, other)
             assert best <= e + 1e-8
 
     def test_tolerance_guard(self):
@@ -161,7 +161,7 @@ class TestIndicatorSum:
     def test_level_zero_is_total(self):
         u = hs.plain_gaussian(1.0)
         basis = ScaledBasis(16, 1.0)
-        assert hs.indicator_sum(u, [], basis, level=0) == \
+        assert hs.indicator_sum(u, basis, level=0) == \
             hs.error_breakdown(u, basis).total
 
     def test_level_one_coefficient(self):
@@ -169,7 +169,7 @@ class TestIndicatorSum:
         u = hs.plain_gaussian(1.0)
         du = u.derivative()
         basis = ScaledBasis(16, 1.0)
-        got = hs.indicator_sum(u, [du], basis, level=1)
+        got = hs.indicator_sum(u, basis, level=1)
         expect = hs.error_breakdown(du, basis).total \
             + 4.0 * hs.error_breakdown(u, basis).total
         assert got == pytest.approx(expect, rel=1e-12)
@@ -179,7 +179,7 @@ class TestIndicatorSum:
         du = u.derivative()
         d2u = du.derivative()
         basis = ScaledBasis(9, 1.5)
-        got = hs.indicator_sum(u, [du, d2u], basis, level=2)
+        got = hs.indicator_sum(u, basis, level=2)
         expect = (hs.error_breakdown(d2u, basis).total
                   + 1.5 * hs.error_breakdown(du, basis).total
                   + 1.5 ** 2 * 9 * hs.error_breakdown(u, basis).total)
@@ -187,16 +187,17 @@ class TestIndicatorSum:
 
     def test_monotone_in_n(self):
         u = hs.plain_gaussian(1.0)
-        du = u.derivative()
-        lvl = lambda n: hs.indicator_sum(u, [du], ScaledBasis(n, 1.0), level=1)
+        lvl = lambda n: hs.indicator_sum(u, ScaledBasis(n, 1.0), level=1)
         assert lvl(64) < lvl(16)
 
     def test_missing_derivatives_rejected(self):
-        u = hs.plain_gaussian(1.0)
+        # u'' of plain_gaussian has no derivative entry; gaussian(k, s) has u'
+        # but no u''.
+        bare = hs.plain_gaussian(1.0).derivative().derivative()
         with pytest.raises(ValueError):
-            hs.indicator_sum(u, [], ScaledBasis(8, 1.0), level=1)
+            hs.indicator_sum(bare, ScaledBasis(8, 1.0), level=1)
         with pytest.raises(ValueError):
-            hs.indicator_sum(u, [u.derivative()], ScaledBasis(8, 1.0), level=2)
+            hs.indicator_sum(hs.gaussian(1.0, 0.0), ScaledBasis(8, 1.0), level=2)
 
 
 class TestBalanceScaling:
