@@ -112,15 +112,14 @@ def _eval_panels(f, lo, hi, weight):
     return np.concatenate(integral), np.concatenate(error), worst
 
 
-def adaptive_quad(f, a, b, abs_tol=1e-12, rel_tol=1e-10, points=None,
-                  initial=16, max_panels=20000, label="integrand"):
+def adaptive_quad(f, a, b, abs_tol=1e-12, rel_tol=1e-10, initial=16,
+                  max_panels=20000, label="integrand"):
     """Integrate a vectorized integrand over [a, b] adaptively.
 
     f maps an array of abscissae (m,) to values (m,), giving a scalar result,
     or to an iterable of d rows of shape (m,), real or complex, giving a (d,)
-    vector.  `points` seeds the initial subdivision (breakpoints including or
-    excluding the endpoints); otherwise [a, b] is split into `initial`
-    uniform panels.  Until every component satisfies
+    vector.  [a, b] starts as `initial` uniform panels.  Until every
+    component satisfies
 
         err_c <= max(abs_tol, rel_tol * |I_c|)
 
@@ -135,11 +134,7 @@ def adaptive_quad(f, a, b, abs_tol=1e-12, rel_tol=1e-10, points=None,
     """
     if not b > a:
         raise ValueError(f"invalid interval [{a}, {b}]")
-    if points is not None:
-        edges = np.unique(np.clip(np.asarray(points, dtype=float), a, b))
-        edges = np.union1d(edges, [a, b])
-    else:
-        edges = np.linspace(a, b, initial + 1)
+    edges = np.linspace(a, b, initial + 1)
     lo, hi = edges[:-1], edges[1:]
     weight = np.ones(lo.size)
     total = total_err = 0.0

@@ -14,6 +14,7 @@ overflows long before n ~ 300).
 
 from __future__ import annotations
 
+import cmath
 import math
 from dataclasses import dataclass
 
@@ -33,10 +34,10 @@ _RESCALE = 2.0 ** _RESCALE_BITS
 _UNSCALE = 2.0 ** -_RESCALE_BITS
 
 
-def _check_index(n_max, least: int = 0, limit: int = N_MAX_LIMIT) -> int:
-    """n_max as an int, after checking that it is an integer in [least, limit]."""
-    if not isinstance(n_max, (int, np.integer)) or not least <= n_max <= limit:
-        raise ValueError(f"n_max must be an integer in [{least}, {limit}], got {n_max}")
+def _check_index(n_max, limit: int = N_MAX_LIMIT) -> int:
+    """n_max as an int, after checking that it is an integer in [0, limit]."""
+    if not isinstance(n_max, (int, np.integer)) or not 0 <= n_max <= limit:
+        raise ValueError(f"n_max must be an integer in [0, {limit}], got {n_max}")
     return int(n_max)
 
 
@@ -60,22 +61,6 @@ class ScaledBasis:
     def dual(self) -> "ScaledBasis":
         """Basis the Fourier transform of this basis spans (beta -> 1/beta)."""
         return ScaledBasis(self.n_max, 1.0 / self.beta)
-
-
-@dataclass(frozen=True)
-class GaussianParams:
-    """Parameters of the modulated Gaussian exp(-(x-shift)**2/2 + i*freq*x)."""
-
-    freq: float
-    shift: float = 0.0
-
-    def __post_init__(self):
-        if not (np.isfinite(self.freq) and np.isfinite(self.shift)):
-            raise ValueError("freq and shift must be finite")
-
-    @property
-    def z(self) -> complex:
-        return self.freq - 1j * self.shift
 
 
 @dataclass(frozen=True)
@@ -226,42 +211,41 @@ def differentiate(coeffs: SpectralCoeffs) -> SpectralCoeffs:
     return SpectralCoeffs(ScaledBasis(basis.n_max + 1, basis.beta), out)
 
 
-def gaussian_coefficients(params: GaussianParams, n_max: int) -> np.ndarray:
-    """Expansion coefficients of exp(-(x-s)**2/2 + i*k*x) in the unscaled basis.
+def gaussian_coefficients(freq: float, shift: float, n_max: int,
+                          m: float = 0.5) -> np.ndarray:
+    """Expansion coefficients of exp(-m*(x-s)**2 + i*k*x) in the unscaled
+    basis, with k = freq and s = shift.
 
-    c_n = pi**(1/4) * exp(-z**2/4 - s**2/2) * (i*z)**n / sqrt(2**n * n!) with
-    z = k - i*s; the ratio (i*z)/sqrt(2(n+1)) is accumulated term by term so
-    2**n * n! never appears.
+    With a = m + 1/2 and b = 2*m*s + i*k the generating function is
+    sum_n c_n sqrt(2**n sqrt(pi) / n!) t**n
+    = sqrt(pi/a) * exp(b**2/(4a) - m*s**2 + p*t + q*t**2), p = b/a and
+    q = (1/2 - m)/a, so
+
+        c_{n+1} = p/sqrt(2(n+1)) * c_n + q*sqrt(n/(n+1)) * c_{n-1},  c_{-1} = 0,
+        c_0 = pi**(1/4) * a**(-1/2) * exp(-(2*m*s**2 + k**2)/(4a) + i*m*s*k/a).
+
+    The seed's exponent has a real part <= 0, so it cannot overflow, and
+    |c_{n+2} / c_n| tends to |q| = |2m-1|/(2m+1): 0 at the matched width
+    m = 1/2, where each coefficient is a multiple of the one before.
     """
     _check_index(n_max)
-    z = params.z
-    c = np.empty(n_max + 1, dtype=complex)
-    c[0] = np.pi ** 0.25 * np.exp(-z * z / 4.0 - params.shift ** 2 / 2.0)
+    k, s, m = float(freq), float(shift), float(m)
+    if not (math.isfinite(k) and math.isfinite(s)):
+        raise ValueError(f"freq and shift must be finite, got {freq}, {shift}")
+    if not (math.isfinite(m) and m >= 0):
+        raise ValueError(f"m must be finite and >= 0, got {m}")
+    a = m + 0.5
+    r = m / a  # in [0, 1): no product below overflows once the seed is nonzero
+    c = np.zeros(n_max + 1, dtype=complex)
+    size = math.exp(-(2.0 * r * s * s + k * k / a) / 4.0)
+    if size == 0.0:
+        return c
+    c[0] = math.pi ** 0.25 / math.sqrt(a) * size * cmath.exp(1j * r * s * k)
+    p, q = complex(2.0 * r * s, k / a), (0.5 - m) / a
+    prev = 0.0
     for n in range(n_max):
-        c[n + 1] = c[n] * (1j * z) / np.sqrt(2.0 * (n + 1))
-    return c
-
-
-def gaussian_coefficients_recurrence(m: float, k: float, n_max: int,
-                                     c0: complex, c1: complex) -> np.ndarray:
-    """Coefficients of exp(-m*x**2 + i*k*x) from the three-term recurrence
-
-        c_{n+1} = ik/(2m+1) * sqrt(2/(n+1)) * c_n
-                  - (2m-1)/(2m+1) * sqrt(n/(n+1)) * c_{n-1},
-
-    seeded with the caller-supplied c0, c1.
-    """
-    _check_index(n_max, least=1)
-    if m < 0:
-        raise ValueError(f"m must be non-negative, got {m}")
-    c = np.empty(n_max + 1, dtype=complex)
-    c[0] = c0
-    c[1] = c1
-    lead = 1j * k / (2.0 * m + 1.0)
-    trail = (2.0 * m - 1.0) / (2.0 * m + 1.0)
-    for n in range(1, n_max):
-        c[n + 1] = (lead * np.sqrt(2.0 / (n + 1)) * c[n]
-                    - trail * np.sqrt(n / (n + 1)) * c[n - 1])
+        prev, c[n + 1] = c[n], (c[n] * p / math.sqrt(2.0 * (n + 1))
+                                + q * math.sqrt(n / (n + 1)) * prev)
     return c
 
 

@@ -76,16 +76,6 @@ class SweepConfig:
                 beta = math.inf
             ScaledBasis(n, beta)
 
-    def to_text(self) -> str:
-        lines = [f"function={self.function}",
-                 f"n={','.join(str(n) for n in self.n_values)}",
-                 f"schedule={self.schedule}",
-                 f"gamma={self.gamma!r}",
-                 f"measure={self.measure}"]
-        if self.output:
-            lines.append(f"out={self.output}")
-        return "\n".join(lines) + "\n"
-
     @classmethod
     def from_settings(cls, settings: dict) -> "SweepConfig":
         """Config from text settings keyed by flag name; absent optional
@@ -98,10 +88,6 @@ class SweepConfig:
             raise ValueError(f"missing required sweep settings: {missing}")
         return cls(**{_SETTINGS[k][0]: _SETTINGS[k][1](v)
                       for k, v in settings.items()})
-
-    @classmethod
-    def from_text(cls, text: str) -> "SweepConfig":
-        return cls.from_settings(parse_config_text(text))
 
 
 @dataclass(frozen=True)

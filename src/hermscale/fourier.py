@@ -121,7 +121,11 @@ def tail_norm(f: Callable, cutoff: float) -> float:
         v = np.asarray(f(c + (1.0 + c) * (r * r - 1.0))) / s
         return (v * np.conj(v)).real * (2.0 * (1.0 + c) * r ** 3)
 
-    return s * math.sqrt(2.0 * adaptive_quad(mapped, 0.0, 1.0, abs_tol=1e-300, rel_tol=1e-11,
+    # Where f is subnormal it is off by up to 2**-1075, which puts up to
+    # 2(1+c) r**3 2**-1074 / s on the integrand (|f/s| <= 1): below that
+    # floor, taken at r**3 = 16, the Kronrod estimate measures roundoff.
+    floor = max(1e-300, 32.0 * (1.0 + c) * 2.0 ** -1074 / s)
+    return s * math.sqrt(2.0 * adaptive_quad(mapped, 0.0, 1.0, abs_tol=floor, rel_tol=1e-11,
                                              label=f"tail from cutoff={cutoff}"))
 
 

@@ -142,13 +142,6 @@ def projection_error(u: TestFunction, basis: ScaledBasis) -> float:
     return error
 
 
-def interpolation_error(u: TestFunction, basis: ScaledBasis,
-                        grid: CollocationGrid) -> float:
-    """Measured interpolation error ||u - interp_N^beta u||."""
-    coeffs = interpolate(u, basis, grid)
-    return residual_l2(u, coeffs)
-
-
 def error_breakdown(u: TestFunction, basis: ScaledBasis) -> ErrorBreakdown:
     """Indicator components of u for the given (N, beta)."""
     root_n = math.sqrt(basis.n_max)
@@ -185,19 +178,20 @@ def indicator_sum(u: TestFunction, basis: ScaledBasis, level: int = 0) -> float:
 def balance_scaling(u: TestFunction, n_max: int, bracket) -> float:
     """Scale beta* equalizing the spatial and frequency indicator components.
 
-    Bisection on log(spatial) - log(frequency), which is monotone increasing
-    in beta (the spatial cutoff shrinks, the frequency cutoff grows).  When
-    one tail underflows to zero the bisection clamps toward the bracket edge
-    and reports saturation instead of inventing a root.
+    Bisection on log(spatial) - log(frequency) from error_breakdown(u,
+    ScaledBasis(n_max, beta)), which is monotone increasing in beta (the
+    spatial cutoff shrinks, the frequency cutoff grows); n_max and the
+    bracket edges get ScaledBasis's domain checks.  When one tail underflows
+    to zero the bisection clamps toward the bracket edge and reports
+    saturation instead of inventing a root.
     """
     lo, hi = float(bracket[0]), float(bracket[1])
     if not 0 < lo < hi:
         raise ValueError(f"bracket must satisfy 0 < lo < hi, got {bracket}")
-    root_n = math.sqrt(n_max)
 
     def log_diff(beta):
-        e_s = u.spatial_tail(SPATIAL_CUTOFF_FACTOR * root_n / beta)
-        e_f = u.frequency_tail(FREQUENCY_CUTOFF_FACTOR * root_n * beta)
+        tails = error_breakdown(u, ScaledBasis(n_max, beta))
+        e_s, e_f = tails.spatial, tails.frequency
         if e_s == 0.0 and e_f == 0.0:
             return 0.0
         if e_s == 0.0:

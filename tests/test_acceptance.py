@@ -14,7 +14,7 @@ import pytest
 
 import hermscale as hs
 from hermscale import cli, galerkin
-from hermscale.basis import GaussianParams, ScaledBasis
+from hermscale.basis import ScaledBasis
 from hermscale.quadrature import compute_grid
 
 from conftest import gram_matrix_by_quadrature
@@ -26,7 +26,7 @@ def report(criterion, ok, detail):
 
 
 def analytic_gaussian_tail(freq, shift, n_max, terms=400):
-    c = hs.gaussian_coefficients(GaussianParams(freq, shift), terms)
+    c = hs.gaussian_coefficients(freq, shift, terms)
     return math.sqrt(float(np.sum(np.abs(c[n_max + 1:]) ** 2)))
 
 

@@ -6,8 +6,10 @@ import numpy as np
 import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
+from scipy.integrate import quad_vec
 
 import hermscale as hs
+from hermscale import galerkin
 from hermscale.basis import (BETA_MAX, BETA_MIN, N_MAX_LIMIT, ScaledBasis,
                              SpectralCoeffs)
 from hermscale.operators import support_radius
@@ -152,7 +154,7 @@ class TestScaledBasis:
     def test_beta_range(self):
         # Inside the range beta**2 * N and sqrt(N) / beta stay finite and normal.
         for beta in (BETA_MIN, BETA_MAX):
-            system = hs.assemble(ScaledBasis(N_MAX_LIMIT, beta), 1.0)
+            system = galerkin.assemble(ScaledBasis(N_MAX_LIMIT, beta), 1.0)
             assert np.all(np.isfinite(system.diag)) and np.all(np.isfinite(system.offdiag2))
             assert abs(system.offdiag2[0]) >= np.finfo(float).tiny
         for beta in (1e155, 1e-160, 1.0001 * BETA_MAX, 0.9999 * BETA_MIN,
@@ -259,58 +261,105 @@ class TestDerivativeMatrix:
         assert np.linalg.svd(d, compute_uv=False)[0] <= np.sqrt(2.0 * (n + 1))
 
 
+def closed_form_m_half(freq, shift, n_max):
+    """The m = 1/2 closed form c_n = pi**(1/4) exp(-z**2/4 - s**2/2) *
+    (i z)**n / sqrt(2**n n!), z = k - i s, one ratio at a time."""
+    z = freq - 1j * shift
+    c = np.empty(n_max + 1, dtype=complex)
+    c[0] = np.pi ** 0.25 * np.exp(-z * z / 4.0 - shift ** 2 / 2.0)
+    for n in range(n_max):
+        c[n + 1] = c[n] * (1j * z) / np.sqrt(2.0 * (n + 1))
+    return c
+
+
 class TestGaussianCoefficients:
     def test_pure_gaussian_hits_first_mode(self):
-        c = hs.gaussian_coefficients(hs.GaussianParams(0.0, 0.0), 5)
+        c = hs.gaussian_coefficients(0.0, 0.0, 5)
         assert c[0] == pytest.approx(np.pi ** 0.25, rel=1e-15)
         assert np.abs(c[1:]).max() == 0.0
 
     def test_matches_recurrence_at_m_half(self):
-        c = hs.gaussian_coefficients(hs.GaussianParams(1.0, 0.0), 2)
-        r = hs.gaussian_coefficients_recurrence(0.5, 1.0, 2, c[0], c[1])
-        assert np.abs(c - r).max() < 1e-14
+        # At the matched width the recurrence is the one-term closed form, to
+        # 1e-14 relative wherever the coefficient is well above subnormal.
+        # Both round the seed's exponent -(k**2 + s**2)/4 to a double, in
+        # different steps: where s**2 is inexact they may differ by that
+        # rounding too, |exponent| * 2**-51 (3.5e-14 at k = 30, s = 5.9).
+        for shift, exact_square in ((0.0, True), (3.0, True), (-8.0, True),
+                                    (0.37, False), (-1.3, False), (5.9, False)):
+            for freq in (0.0, 1.0, 10.0, -13.0, 17.3, 30.0):
+                rounding = 0.0 if exact_square else (freq ** 2 + shift ** 2) / 4.0 * 2.0 ** -51
+                tol = 1e-14 + rounding
+                c = hs.gaussian_coefficients(freq, shift, 4000)
+                closed = closed_form_m_half(freq, shift, 4000)
+                normal = np.abs(closed) > 2.0 ** -1000
+                assert np.array_equal(normal, np.abs(c) > 2.0 ** -1000)
+                rel = np.abs(c[normal] - closed[normal]) / np.abs(closed[normal])
+                assert rel.max() < tol, (freq, shift)
+                assert np.abs(c[~normal]).max(initial=0.0) < 2.0 ** -990
 
     def test_norm_parseval(self):
-        c = hs.gaussian_coefficients(hs.GaussianParams(2.0, 1.0), 200)
-        total = np.sum(np.abs(c) ** 2)
-        assert total == pytest.approx(np.sqrt(np.pi), abs=1e-12)
+        # ||exp(-m (x-s)**2 + i k x)||**2 = sqrt(pi / (2m)).
+        for m in (0.2, 0.5, 1.5, 3.0):
+            c = hs.gaussian_coefficients(2.0, 1.0, 400, m)
+            total = np.sum(np.abs(c) ** 2)
+            assert total == pytest.approx(np.sqrt(np.pi / (2.0 * m)), abs=1e-12), m
 
     def test_no_overflow_at_high_order(self):
-        c = hs.gaussian_coefficients(hs.GaussianParams(30.0, 0.0), 4000)
-        assert np.all(np.isfinite(c.view(float)))
+        for m in (0.0, 0.5, 3.0):
+            c = hs.gaussian_coefficients(30.0, 0.0, 4000, m)
+            assert np.all(np.isfinite(c.view(float)))
+        # Seeds that underflow give exact zeros, not NaN.
+        for freq, shift, m in ((1e200, 0.0, 0.5), (1.0, 1e300, 2.0), (1e300, 1e300, 1e300)):
+            assert np.abs(hs.gaussian_coefficients(freq, shift, 8, m)).max() == 0.0
 
     def test_index_limit(self):
-        params = hs.GaussianParams(1.0, 0.0)
         for bad in (N_MAX_LIMIT + 1, -1, 2.0):
             with pytest.raises(ValueError):
-                hs.gaussian_coefficients(params, bad)
+                hs.gaussian_coefficients(1.0, 0.0, bad)
+        for freq, shift, m in ((np.nan, 0.0, 0.5), (1.0, np.inf, 0.5),
+                               (1.0, 0.0, -0.1), (1.0, 0.0, np.inf), (1.0, 0.0, np.nan)):
             with pytest.raises(ValueError):
-                hs.gaussian_coefficients_recurrence(0.5, 1.0, bad, 1.0, 0.0)
+                hs.gaussian_coefficients(freq, shift, 4, m)
 
 
 class TestCoefficientRecurrence:
     def test_m_half_k_zero_collapses(self):
-        c0 = np.pi ** 0.25
-        c = hs.gaussian_coefficients_recurrence(0.5, 0.0, 10, c0, 0.0)
+        c = hs.gaussian_coefficients(0.0, 0.0, 10, 0.5)
         assert np.abs(c[1:]).max() == 0.0
+        # Any other width keeps the even modes of an even function only.
+        c = hs.gaussian_coefficients(0.0, 0.0, 10, 1.5)
+        assert np.abs(c[1::2]).max() == 0.0 and np.abs(c[::2]).min() > 0.0
 
     def test_m_zero_gives_plane_wave_coefficients(self):
+        # At m = 0 the function is exp(i k x) whatever the shift.
         k = 1.3
         h = hs.eval_hermite_functions(k, 8)
-        c0 = np.sqrt(2.0 * np.pi) * h[0]
-        c1 = 1j * np.sqrt(2.0 * np.pi) * h[1]
-        c = hs.gaussian_coefficients_recurrence(0.0, k, 8, c0, c1)
         expected = 1j ** np.arange(9) * np.sqrt(2.0 * np.pi) * h
-        assert np.abs(c - expected).max() < 1e-13
+        for shift in (0.0, 2.0):
+            c = hs.gaussian_coefficients(k, shift, 8, 0.0)
+            assert np.abs(c - expected).max() < 1e-13
 
     def test_closed_form_cross_check(self):
-        cc = hs.gaussian_coefficients(hs.GaussianParams(3.0, 0.0), 12)
-        cr = hs.gaussian_coefficients_recurrence(0.5, 3.0, 12, cc[0], cc[1])
-        assert np.abs(cc - cr).max() < 1e-12
+        # Shifted Gaussians away from the matched width against adaptive
+        # quadrature of u * h_n.
+        n_max = 30
+        for m, freq, shift in ((0.2, 1.0, 0.7), (1.5, 2.5, -1.2), (3.0, 4.0, 0.4),
+                               (0.05, -0.5, 2.0)):
+            c = hs.gaussian_coefficients(freq, shift, n_max, m)
+            ref, _ = quad_vec(lambda x: np.exp(-m * (x - shift) ** 2 + 1j * freq * x)
+                              * hs.eval_hermite_functions(x, n_max),
+                              -40.0, 40.0, epsabs=1e-15, epsrel=1e-14, points=[shift])
+            assert np.abs(c - ref).max() < 1e-13, (m, freq, shift)
 
-    def test_needs_two_seeds(self):
-        with pytest.raises(ValueError):
-            hs.gaussian_coefficients_recurrence(0.5, 1.0, 0, 1.0, 0.0)
+    @pytest.mark.parametrize("m", [0.0, 0.2, 1.5, 3.0])
+    def test_unshifted_three_term_recurrence(self, m):
+        # At s = 0: c_{n+1} = ik/(2m+1) sqrt(2/(n+1)) c_n
+        #                     - (2m-1)/(2m+1) sqrt(n/(n+1)) c_{n-1}.
+        k, n = 3.0, np.arange(1, 60)
+        c = hs.gaussian_coefficients(k, 0.0, 60, m)
+        rhs = (1j * k / (2 * m + 1) * np.sqrt(2.0 / (n + 1)) * c[1:-1]
+               - (2 * m - 1) / (2 * m + 1) * np.sqrt(n / (n + 1)) * c[:-2])
+        assert np.abs(c[2:] - rhs).max() < 1e-14 * np.abs(c).max()
 
 
 class TestFourierDuality:

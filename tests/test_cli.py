@@ -19,6 +19,11 @@ from hermscale.operators import ErrorBreakdown
 from hermscale.quadrature import N_MAX_GRID
 
 
+def config_from_text(text):
+    """A sweep config from config-file text, the way main reads --config."""
+    return cli.SweepConfig.from_settings(cli.parse_config_text(text))
+
+
 def synthetic_records(ns, errors):
     b = ErrorBreakdown(1e-3, 1e-3, 1e-4)
     return [cli.ConvergenceRecord(n, 1.0, e, b) for n, e in zip(ns, errors)]
@@ -102,8 +107,9 @@ class TestParsing:
                                  n_values=(8, 16, 32, 64),
                                  schedule="logsqrt(10)", gamma=2.0,
                                  measure="l2_discrete", output="out.csv")
-        again = cli.SweepConfig.from_text(config.to_text())
-        assert again == config
+        text = ("function=algebraic(1.5)\nn=8,16,32,64\nschedule=logsqrt(10)\n"
+                "gamma=2.0\nmeasure=l2_discrete\nout=out.csv\n")
+        assert config_from_text(text) == config
 
     @settings(max_examples=50)
     @given(gamma=st.floats(min_value=5e-324, allow_infinity=False),
@@ -122,14 +128,20 @@ class TestParsing:
                                  measure=measure, output=output)
         assert config.function == f"algebraic({h!r})"
         assert config.schedule == schedule
-        assert cli.SweepConfig.from_text(config.to_text()) == config
+        lines = [f"function={pad}algebraic({h!r}){pad}",
+                 f"n={','.join(str(n) for n in sorted(ns))}",
+                 f"schedule={pad}{schedule}{pad}", f"gamma={gamma!r}",
+                 f"measure={measure}"]
+        if output:
+            lines.append(f"out={output}")
+        assert config_from_text("\n".join(lines) + "\n") == config
 
     def test_config_text_errors(self):
         with pytest.raises(ValueError):
-            cli.SweepConfig.from_text("function=algebraic(1)\n")
+            config_from_text("function=algebraic(1)\n")
         with pytest.raises(ValueError):
-            cli.SweepConfig.from_text("function=algebraic(1)\nn=4,8\n"
-                                      "schedule=constant(1)\nwhat=3\n")
+            config_from_text("function=algebraic(1)\nn=4,8\n"
+                             "schedule=constant(1)\nwhat=3\n")
         with pytest.raises(ValueError):
             cli.parse_config_text("nonsense line")
 

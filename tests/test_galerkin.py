@@ -287,12 +287,11 @@ class TestCeaSanity:
                 h1 = galerkin.solution_error(c, u)["h1"]
 
                 p = hs.project(u, basis, tol=1e-12)
-                from hermscale.operators import residual_l2
-                pl2 = residual_l2(u, p)
-                pd = residual_l2(u.derivative(), hs.differentiate(p))
+                pl2 = hs.residual_l2(u, p)
+                pd = hs.residual_l2(u.derivative(), hs.differentiate(p))
                 proj_h1 = math.sqrt(pl2 ** 2 + pd ** 2)
 
-                f_int = hs.interpolation_error(problem.rhs, basis, grid)
+                f_int = hs.residual_l2(problem.rhs, hs.interpolate(problem.rhs, basis, grid))
                 ratios.append(h1 / (proj_h1 + f_int))
         assert max(ratios) / min(ratios) < 10.0
         assert max(ratios) < 5.0

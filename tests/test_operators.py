@@ -7,7 +7,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import hermscale as hs
-from hermscale.basis import GaussianParams, ScaledBasis, SpectralCoeffs
+from hermscale.basis import ScaledBasis, SpectralCoeffs
 from hermscale.errors import AccuracyError, BracketError, DegenerateBalanceError
 from hermscale.fourier import DecayMeta, TestFunction
 from hermscale.operators import (FREQUENCY_CUTOFF_FACTOR,
@@ -25,7 +25,7 @@ def synthetic_test_function(coeffs):
 
 
 def analytic_gaussian_tail(freq, shift, n_max, terms=400):
-    c = hs.gaussian_coefficients(GaussianParams(freq, shift), terms)
+    c = hs.gaussian_coefficients(freq, shift, terms)
     return math.sqrt(float(np.sum(np.abs(c[n_max + 1:]) ** 2)))
 
 
@@ -40,7 +40,7 @@ class TestProjection:
     def test_modulated_gaussian_real_parts(self):
         u = hs.gaussian(1.0, 0.0)
         p = hs.project(u, ScaledBasis(6, 1.0), tol=1e-12)
-        closed = hs.gaussian_coefficients(GaussianParams(1.0, 0.0), 6)
+        closed = hs.gaussian_coefficients(1.0, 0.0, 6)
         assert np.abs(p.values.real - closed.real).max() < 1e-10
         assert np.abs(p.values.imag - closed.imag).max() < 1e-10
 
@@ -117,7 +117,7 @@ class TestInterpolation:
 
     def test_interpolation_error_decreases(self):
         u = hs.gaussian(2.0, 0.0)
-        errs = [hs.interpolation_error(u, ScaledBasis(n, 1.0), compute_grid(n))
+        errs = [hs.residual_l2(u, hs.interpolate(u, ScaledBasis(n, 1.0), compute_grid(n)))
                 for n in (8, 16, 32)]
         assert errs[0] > errs[1] > errs[2]
 
@@ -233,6 +233,35 @@ class TestBalanceScaling:
         u = hs.plain_gaussian(1.0)
         with pytest.raises(BracketError):
             hs.balance_scaling(u, 16, (2.0, 4.0))
+
+    def test_domain_checks(self):
+        # n_max and the bracket edges are checked as ScaledBasis checks them.
+        u = hs.plain_gaussian(1.0)
+        for n_max, bracket in ((2.5, (0.2, 5.0)), (-1, (0.2, 5.0)),
+                               (64, (1e-120, 5.0)), (64, (0.2, 1e120))):
+            with pytest.raises(ValueError):
+                hs.balance_scaling(u, n_max, bracket)
+
+    @settings(max_examples=40, deadline=None)
+    @given(u=st.one_of(
+               st.builds(hs.plain_gaussian, st.floats(-2.0, 2.0).map(lambda e: 10.0 ** e)),
+               st.builds(hs.gaussian, st.floats(-10.0, 10.0), st.floats(-10.0, 10.0)),
+               st.builds(hs.algebraic, st.floats(0.55, 30.0)),
+               st.builds(hs.gaussian_power, st.integers(1, 40))),
+           n_max=st.integers(0, 1024),
+           log_betas=st.lists(st.floats(-100.0, 100.0), min_size=2, max_size=6))
+    def test_log_difference_monotone_in_beta(self, u, n_max, log_betas):
+        # The function balance_scaling bisects does not decrease in beta,
+        # to 1e-10: each tail carries up to 1e-11 relative error.
+        def log_difference(beta):
+            tails = hs.error_breakdown(u, ScaledBasis(n_max, beta))
+            e_s, e_f = tails.spatial, tails.frequency
+            if e_s == 0.0 or e_f == 0.0:
+                return 0.0 if e_s == e_f else math.copysign(math.inf, e_s - e_f)
+            return math.log(e_s) - math.log(e_f)
+
+        values = [log_difference(10.0 ** e) for e in sorted(log_betas)]
+        assert all(b >= a - 1e-10 for a, b in zip(values, values[1:])), (u.id, values)
 
 
 class TestTransitionPoint:

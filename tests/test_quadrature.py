@@ -161,7 +161,7 @@ class TestTransforms:
         grid = compute_grid(40)
         u = hs.gaussian(1.0, 0.0)
         c = hs.interpolate(u, ScaledBasis(40, 1.0), grid)
-        closed = hs.gaussian_coefficients(hs.GaussianParams(1.0, 0.0), 40)
+        closed = hs.gaussian_coefficients(1.0, 0.0, 40)
         assert abs(c.values[0] - closed[0]) < 1e-8
 
     def test_transform_matrices_inverse_pair(self):
