@@ -27,6 +27,9 @@ BETA_MIN, BETA_MAX = 1e-100, 1e100
 
 _PI_M4 = np.pi ** -0.25
 _LN2 = np.log(2.0)
+# ln 2 = _LN2_HI + _LN2_LO with 21 trailing zero bits in _LN2_HI, so
+# e * _LN2_HI is exact for |e| < 2**21.
+_LN2_HI, _LN2_LO = 6.93147180369123816490e-01, 1.90821492927058770002e-10
 # Seed-relative rows are divided by 2**_RESCALE_BITS whenever they exceed
 # 2**_RESCALE_BITS; scaling by a power of two is exact.
 _RESCALE_BITS = 600
@@ -227,6 +230,11 @@ def gaussian_coefficients(freq: float, shift: float, n_max: int,
     The seed's exponent has a real part <= 0, so it cannot overflow, and
     |c_{n+2} / c_n| tends to |q| = |2m-1|/(2m+1): 0 at the matched width
     m = 1/2, where each coefficient is a multiple of the one before.
+
+    Where the seed's size underflows (from |k| ~ 53 at m = 1/2) the
+    recurrence carries a binary exponent apart from the mantissa, as
+    _hermite_rows does, and emits ldexp(mantissa, e): a coefficient is zero
+    only where it is below the subnormal range.
     """
     _check_index(n_max)
     k, s, m = float(freq), float(shift), float(m)
@@ -237,15 +245,31 @@ def gaussian_coefficients(freq: float, shift: float, n_max: int,
     a = m + 0.5
     r = m / a  # in [0, 1): no product below overflows once the seed is nonzero
     c = np.zeros(n_max + 1, dtype=complex)
-    size = math.exp(-(2.0 * r * s * s + k * k / a) / 4.0)
-    if size == 0.0:
-        return c
-    c[0] = math.pi ** 0.25 / math.sqrt(a) * size * cmath.exp(1j * r * s * k)
     p, q = complex(2.0 * r * s, k / a), (0.5 - m) / a
+    log_size = -(2.0 * r * s * s + k * k / a) / 4.0
+    size, e = math.exp(log_size), 0
+    if size < np.finfo(float).tiny:
+        # |c_n| < 2 exp(log_size) (1 + |p|/sqrt(2))**n, from |q| <= 1 and
+        # pi**(1/4)/sqrt(a) < 2: below 2**-1076 every entry is zero (NaN
+        # means log_size = -inf).  Past this check no rescaled step overflows.
+        if not (log_size + n_max * math.log1p(abs(p) / math.sqrt(2.0))
+                >= -1076 * _LN2):
+            return c
+        # Both steps of the reduction by e * ln 2 are exact.
+        e = math.floor(log_size / _LN2)
+        size = math.exp((log_size - e * _LN2_HI) - e * _LN2_LO)
+    c[0] = cur = np.complex128(math.pi ** 0.25 / math.sqrt(a) * size
+                               * cmath.exp(1j * r * s * k))
+    exponents = np.full(n_max + 1, e)
     prev = 0.0
     for n in range(n_max):
-        prev, c[n + 1] = c[n], (c[n] * p / math.sqrt(2.0 * (n + 1))
-                                + q * math.sqrt(n / (n + 1)) * prev)
+        prev, cur = cur, (cur * p / math.sqrt(2.0 * (n + 1))
+                          + q * math.sqrt(n / (n + 1)) * prev)
+        if abs(cur) > _RESCALE:
+            prev, cur, e = prev * _UNSCALE, cur * _UNSCALE, e + _RESCALE_BITS
+            exponents[n + 1:] = e
+        c[n + 1] = cur
+    c.real, c.imag = np.ldexp(c.real, exponents), np.ldexp(c.imag, exponents)
     return c
 
 

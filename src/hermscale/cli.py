@@ -12,7 +12,7 @@ import math
 import sys
 from dataclasses import dataclass
 from pathlib import Path
-from typing import Callable, Optional
+from typing import Callable, Iterator, Optional
 
 import numpy as np
 
@@ -316,25 +316,7 @@ def detect_slope_change(records) -> float:
 
 
 # ---------------------------------------------------------------------------
-# reproduction targets
-
-
-class _Summary:
-    def __init__(self):
-        self.lines = []
-        self.failed = False
-
-    def check(self, ok: bool, text: str):
-        self.lines.append(f"{'PASS' if ok else 'FAIL'}  {text}")
-        if not ok:
-            self.failed = True
-
-    def write(self, out_dir: Path, name: str):
-        path = out_dir / f"{name}_summary.txt"
-        path.write_text("\n".join(self.lines) + "\n")
-        for line in self.lines:
-            print(line)
-        return path
+# reproduction targets: each yields (passed, text) for every check
 
 
 def _sweep_to(out_dir: Path, name: str, **kwargs) -> list:
@@ -342,7 +324,7 @@ def _sweep_to(out_dir: Path, name: str, **kwargs) -> list:
     return run_sweep(config)
 
 
-def reproduce_table1(out_dir: Path, summary: _Summary) -> None:
+def reproduce_table1(out_dir: Path) -> Iterator[tuple]:
     # The reference orders are stated in the collocation-grid norm: the
     # full-line L2 error instead follows the theoretical rates N^(1/4-h)
     # and N^(1/2-2h), which sit well below these table values.
@@ -355,23 +337,23 @@ def reproduce_table1(out_dir: Path, summary: _Summary) -> None:
                                 n_values=n_values, schedule=schedule,
                                 measure="l2_discrete")
             fit = fit_order(records, "algebraic")
-            summary.check(abs(fit.rate - ref) <= 0.15,
-                          f"table1 h={h:g} {schedule}: order {fit.rate:.3f} "
-                          f"(reference {ref}, tolerance 0.15, R2 {fit.r2:.4f})")
+            yield (abs(fit.rate - ref) <= 0.15,
+                   f"table1 h={h:g} {schedule}: order {fit.rate:.3f} "
+                   f"(reference {ref}, tolerance 0.15, R2 {fit.r2:.4f})")
 
 
-def reproduce_table2(out_dir: Path, summary: _Summary) -> None:
+def reproduce_table2(out_dir: Path) -> Iterator[tuple]:
     lines = ["h,root"]
     for h, ref in TABLE2_ROOTS.items():
         root = transition_point(catalog_entry(f"algebraic({h:g})"), (1.0, 200.0))
         lines.append(f"{h:g},{root:.17e}")
-        summary.check(abs(root - ref) <= 0.5,
-                      f"table2 h={h:g}: root {root:.3f} (reference {ref}, "
-                      "tolerance 0.5)")
+        yield (abs(root - ref) <= 0.5,
+               f"table2 h={h:g}: root {root:.3f} (reference {ref}, "
+               "tolerance 0.5)")
     (out_dir / "table2.csv").write_text("\n".join(lines) + "\n")
 
 
-def reproduce_fig12(out_dir: Path, summary: _Summary) -> None:
+def reproduce_fig12(out_dir: Path) -> Iterator[tuple]:
     """Both scaling choices for exp(-x**8): fixed scale shows the
     sub-geometric rate, the power schedule restores a geometric rate.
 
@@ -390,19 +372,19 @@ def reproduce_fig12(out_dir: Path, summary: _Summary) -> None:
                       measure="l2_discrete")
     fit_flat = fit_order(flat, f"exp_power({4.0 / 7.0})", floor=1e-13)
     fit_tuned = fit_order(tuned, "exp_power(1)", floor=1e-13)
-    summary.check(fit_flat.r2 > 0.95,
-                  f"fig1 beta=1: exp(-c*N^(4/7)) fit R2 {fit_flat.r2:.4f} > 0.95 "
-                  f"(rate {fit_flat.rate:.4f})")
-    summary.check(fit_tuned.r2 > 0.95,
-                  f"fig2 beta=N^(3/8): geometric fit R2 {fit_tuned.r2:.4f} > 0.95 "
-                  f"(rate {fit_tuned.rate:.4f})")
+    yield (fit_flat.r2 > 0.95,
+           f"fig1 beta=1: exp(-c*N^(4/7)) fit R2 {fit_flat.r2:.4f} > 0.95 "
+           f"(rate {fit_flat.rate:.4f})")
+    yield (fit_tuned.r2 > 0.95,
+           f"fig2 beta=N^(3/8): geometric fit R2 {fit_tuned.r2:.4f} > 0.95 "
+           f"(rate {fit_tuned.rate:.4f})")
     e_flat = {r.n: r.error for r in flat}
     e_tuned = {r.n: r.error for r in tuned}
-    summary.check(e_tuned[128] <= 0.1 * e_flat[128],
-                  f"fig2 at N=128: {e_tuned[128]:.3e} <= 0.1 * {e_flat[128]:.3e}")
+    yield (e_tuned[128] <= 0.1 * e_flat[128],
+           f"fig2 at N=128: {e_tuned[128]:.3e} <= 0.1 * {e_flat[128]:.3e}")
 
 
-def reproduce_fig3(out_dir: Path, summary: _Summary) -> None:
+def reproduce_fig3(out_dir: Path) -> Iterator[tuple]:
     n_values = (16, 32, 64, 96, 128, 192, 256)
     flat = _sweep_to(out_dir, "fig3_beta1", function="algebraic(1)",
                      n_values=n_values, schedule="constant(1)",
@@ -412,12 +394,12 @@ def reproduce_fig3(out_dir: Path, summary: _Summary) -> None:
                       measure="l2_discrete")
     for rf, rt in zip(flat, tuned):
         if rf.n >= 64:
-            summary.check(rt.error < rf.error,
-                          f"fig3 N={rf.n}: beta=10/sqrt(N) error {rt.error:.3e} "
-                          f"< beta=1 error {rf.error:.3e}")
+            yield (rt.error < rf.error,
+                   f"fig3 N={rf.n}: beta=10/sqrt(N) error {rt.error:.3e} "
+                   f"< beta=1 error {rf.error:.3e}")
 
 
-def reproduce_fig4(out_dir: Path, summary: _Summary) -> None:
+def reproduce_fig4(out_dir: Path) -> Iterator[tuple]:
     n_values = (4, 6, 8, 11, 16, 23, 32, 45, 64, 91, 128, 181, 256, 362, 512)
     for h, ref in TABLE2_ROOTS.items():
         records = _sweep_to(out_dir, f"fig4_h{h:g}",
@@ -427,10 +409,10 @@ def reproduce_fig4(out_dir: Path, summary: _Summary) -> None:
         n_break = detect_slope_change(records)
         half_width = math.sqrt(2.0 * n_break)
         ratio = half_width / ref
-        summary.check(0.5 <= ratio <= 2.0,
-                      f"fig4 h={h:g}: slope change at N={n_break:.1f}, "
-                      f"half-width {half_width:.2f} vs root {ref} "
-                      f"(ratio {ratio:.2f} within [0.5, 2])")
+        yield (0.5 <= ratio <= 2.0,
+               f"fig4 h={h:g}: slope change at N={n_break:.1f}, "
+               f"half-width {half_width:.2f} vs root {ref} "
+               f"(ratio {ratio:.2f} within [0.5, 2])")
 
 
 _TARGETS = {
@@ -444,16 +426,17 @@ _TARGETS = {
 
 
 def reproduce(target: str, out_dir) -> int:
-    """Run one reproduction target; returns 0 on success, 2 on comparison
-    failure."""
+    """Run one target, writing a PASS/FAIL line per check to stdout and
+    <target>_summary.txt; returns 0 if every check passes, else 2."""
     if target not in _TARGETS:
         raise ValueError(f"unknown target {target!r}; known: {sorted(_TARGETS)}")
     out_dir = Path(out_dir)
     out_dir.mkdir(parents=True, exist_ok=True)
-    summary = _Summary()
-    _TARGETS[target](out_dir, summary)
-    summary.write(out_dir, target)
-    return 2 if summary.failed else 0
+    checks = list(_TARGETS[target](out_dir))
+    lines = [f"{'PASS' if ok else 'FAIL'}  {text}" for ok, text in checks]
+    (out_dir / f"{target}_summary.txt").write_text("\n".join(lines) + "\n")
+    print(*lines, sep="\n")
+    return 0 if all(ok for ok, _ in checks) else 2
 
 
 # ---------------------------------------------------------------------------

@@ -1,12 +1,16 @@
 """Acceptance suite: one test per stated criterion, at its stated tolerance.
 
 Run with `pytest -s tests/test_acceptance.py` to see one PASS line per
-criterion.  Criterion 8's fixed-versus-scheduled comparison threshold is a
-known defect (see the decisions ledger and README): the crossover sits near
-N ~ 110 in every norm, so the N >= 64 clause is marked as an expected
-failure rather than silently re-thresholded.
+criterion.  Criteria 5-8 are the `hermscale reproduce` summaries: each passes
+when its target exits 0 with no FAIL line, so their sweep settings and
+tolerances live in `hermscale.cli` only.  Criterion 8's fixed-versus-scheduled
+comparison threshold is a known defect (README, "`reproduce fig3` exits 2 by
+design"): the crossover sits near N ~ 110 in every norm, so the N >= 64 clause
+is an expected failure rather than silently re-thresholded.
 """
 
+import contextlib
+import io
 import math
 
 import numpy as np
@@ -96,114 +100,51 @@ def test_criterion_4_indicator_upper_bound(small_catalog):
            f"(worst ratio {worst:.3f}, zero violations)")
 
 
-def test_criterion_5_table1_orders():
-    n_values = tuple(range(200, 401, 20))
-    failures = []
-    details = []
-    for schedule, expected in cli.TABLE1_ORDERS.items():
-        for h, ref in expected.items():
-            records = cli.run_sweep(cli.SweepConfig(
-                function=f"algebraic({h:g})", n_values=n_values,
-                schedule=schedule, measure="l2_discrete"))
-            rate = cli.fit_order(records, "algebraic").rate
-            details.append(f"h={h:g}/{schedule}: {rate:.3f} (ref {ref})")
-            if abs(rate - ref) > 0.15:
-                failures.append(details[-1])
-    report(5, not failures,
-           "twelve fitted orders within 0.15 of the reference "
-           f"values [{'; '.join(details)}]" if not failures else
-           f"out-of-tolerance rows: {failures}")
-
-
-def test_criterion_6_table2_roots():
-    details = []
-    ok = True
-    for h, ref in cli.TABLE2_ROOTS.items():
-        root = hs.transition_point(hs.algebraic(h), (1.0, 200.0))
-        details.append(f"h={h:g}: {root:.3f} (ref {ref})")
-        ok &= abs(root - ref) <= 0.5
-    report(6, ok, f"transition roots within 0.5: {'; '.join(details)}")
-
-
 @pytest.fixture(scope="module")
-def flat_power_sweeps():
-    n_values = tuple(range(32, 257, 32))
-    flat = cli.run_sweep(cli.SweepConfig(
-        function="gaussian_power(4)", n_values=n_values,
-        schedule="constant(1)", measure="l2_discrete"))
-    tuned = cli.run_sweep(cli.SweepConfig(
-        function="gaussian_power(4)", n_values=n_values,
-        schedule="power(1,0.375)", measure="l2_discrete"))
-    return flat, tuned
+def reproduced(tmp_path_factory):
+    """Exit code and output directory of `cli.reproduce(target, ...)`, run
+    once per target for the whole module."""
+    runs = {}
+
+    def run(target):
+        if target not in runs:
+            out = tmp_path_factory.mktemp(target)
+            with contextlib.redirect_stdout(io.StringIO()):
+                runs[target] = cli.reproduce(target, out), out
+        return runs[target]
+    return run
 
 
-def test_criterion_7_flat_power_trends(flat_power_sweeps):
-    flat, tuned = flat_power_sweeps
-    fit_flat = cli.fit_order(flat, f"exp_power({4.0 / 7.0})", floor=1e-13)
-    fit_tuned = cli.fit_order(tuned, "exp_power(1)", floor=1e-13)
-    e_flat = {r.n: r.error for r in flat}
-    e_tuned = {r.n: r.error for r in tuned}
-    separation = e_tuned[128] <= 0.1 * e_flat[128]
-    report(7, fit_flat.r2 > 0.95 and fit_tuned.r2 > 0.95 and separation,
-           f"exp(-c N^(4/7)) fit R2={fit_flat.r2:.4f}, geometric fit "
-           f"R2={fit_tuned.r2:.4f} (both > 0.95); errors at N=128: "
-           f"{e_tuned[128]:.2e} <= 0.1 * {e_flat[128]:.2e}")
+@pytest.mark.parametrize("criterion, target", [
+    ("5", "table1"),
+    ("6", "table2"),
+    ("7", "fig1"),
+    ("8-fig4", "fig4"),
+    pytest.param("8-fig3", "fig3", marks=pytest.mark.xfail(
+        reason="spec defect: the 10/sqrt(N) schedule overtakes beta=1 only "
+               "near N ~ 110 (beta > 1 below N=100 shrinks the collocation "
+               "interval), measured under every norm; see README, "
+               "'reproduce fig3 exits 2 by design'")),
+], ids=["5", "6", "7", "8-fig4", "8-fig3"])
+def test_reproduce_criterion(reproduced, criterion, target):
+    rc, out = reproduced(target)
+    lines = (out / f"{target}_summary.txt").read_text().splitlines()
+    report(criterion, rc == 0 and not any(l.startswith("FAIL") for l in lines),
+           f"reproduce {target} exit {rc}: {'; '.join(lines)}")
 
 
-@pytest.fixture(scope="module")
-def fig3_sweeps():
-    n_values = (64, 96, 128, 192, 256)
-    flat = cli.run_sweep(cli.SweepConfig(
-        function="algebraic(1)", n_values=n_values,
-        schedule="constant(1)", measure="l2_discrete"))
-    tuned = cli.run_sweep(cli.SweepConfig(
-        function="algebraic(1)", n_values=n_values,
-        schedule="logsqrt(10)", measure="l2_discrete"))
-    return flat, tuned
-
-
-@pytest.mark.xfail(
-    strict=True,
-    reason="spec defect: the 10/sqrt(N) schedule overtakes beta=1 only near "
-           "N ~ 110 (beta > 1 below N=100 shrinks the collocation interval); "
-           "measured here and under every other norm; see decisions ledger")
-def test_criterion_8_schedule_beats_flat_from_64(fig3_sweeps):
-    flat, tuned = fig3_sweeps
-    losing = [(f.n, f.error, t.error) for f, t in zip(flat, tuned)
-              if t.error >= f.error]
-    report("8-fig3", not losing,
-           f"beta=10/sqrt(N) below beta=1 at every sampled N >= 64 "
-           f"(losing points: {losing})")
-
-
-def test_criterion_8_schedule_wins_past_crossover(fig3_sweeps):
-    # Verified form of the same claim: past the measured crossover the
-    # schedule wins, and by a growing margin.
-    flat, tuned = fig3_sweeps
+def test_criterion_8_schedule_wins_past_crossover(reproduced):
+    # Verified form of the fig3 claim, read back from the same run: past the
+    # measured crossover the schedule wins, and by a growing margin.
+    _, out = reproduced("fig3")
+    flat = cli.read_csv(out / "fig3_beta1.csv")
+    tuned = cli.read_csv(out / "fig3_beta10sqrt.csv")
     pairs = [(f.error, t.error) for f, t in zip(flat, tuned) if f.n >= 128]
     margins = [f / t for f, t in pairs]
     report("8-fig3-verified", all(t < f for f, t in pairs)
            and margins == sorted(margins),
            f"schedule wins for all sampled N >= 128 with growing margin "
            f"{[f'{m:.2f}' for m in margins]}")
-
-
-def test_criterion_8_slope_change_locations():
-    n_values = (4, 6, 8, 11, 16, 23, 32, 45, 64, 91, 128, 181, 256, 362, 512)
-    details = []
-    ok = True
-    for h, ref in cli.TABLE2_ROOTS.items():
-        records = cli.run_sweep(cli.SweepConfig(
-            function=f"algebraic({h:g})", n_values=n_values,
-            schedule="constant(1)", measure="l2_discrete"))
-        n_break = cli.detect_slope_change(records)
-        half_width = math.sqrt(2.0 * n_break)
-        ratio = half_width / ref
-        details.append(f"h={h:g}: N={n_break:.1f} -> {half_width:.2f} "
-                       f"vs {ref} (x{ratio:.2f})")
-        ok &= 0.5 <= ratio <= 2.0
-    report("8-fig4", ok,
-           f"slope-change locations within a factor 2: {'; '.join(details)}")
 
 
 def test_criterion_9_inverse_inequality():

@@ -1,10 +1,12 @@
+import cmath
+import math
 import tracemalloc
 import warnings
 
 import mpmath
 import numpy as np
 import pytest
-from hypothesis import example, given, settings
+from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 from scipy.integrate import quad_vec
 
@@ -272,6 +274,22 @@ def closed_form_m_half(freq, shift, n_max):
     return c
 
 
+def true_value_recurrence(freq, shift, n_max, m):
+    """The coefficient recurrence run on true values from the seed size
+    exp(-(2ms**2 + k**2/a)/(4a)) as a double, and that size."""
+    a = m + 0.5
+    r = m / a
+    c = np.zeros(n_max + 1, dtype=complex)
+    size = math.exp(-(2.0 * r * shift * shift + freq * freq / a) / 4.0)
+    c[0] = math.pi ** 0.25 / math.sqrt(a) * size * cmath.exp(1j * r * shift * freq)
+    p, q = complex(2.0 * r * shift, freq / a), (0.5 - m) / a
+    prev = 0.0
+    for n in range(n_max):
+        prev, c[n + 1] = c[n], (c[n] * p / math.sqrt(2.0 * (n + 1))
+                                + q * math.sqrt(n / (n + 1)) * prev)
+    return c, size
+
+
 class TestGaussianCoefficients:
     def test_pure_gaussian_hits_first_mode(self):
         c = hs.gaussian_coefficients(0.0, 0.0, 5)
@@ -303,6 +321,22 @@ class TestGaussianCoefficients:
             c = hs.gaussian_coefficients(2.0, 1.0, 400, m)
             total = np.sum(np.abs(c) ** 2)
             assert total == pytest.approx(np.sqrt(np.pi / (2.0 * m)), abs=1e-12), m
+
+    @pytest.mark.parametrize("shift", [0.0, 3.0])
+    @pytest.mark.parametrize("freq", [54.0, 60.0, 80.0])
+    def test_parseval_past_seed_underflow(self, freq, shift):
+        # The seed's size exp(-(k**2 + s**2)/4) is subnormal or zero here; the
+        # mass sits near n ~ (k**2 + s**2)/2, well inside N = 4000.
+        total = np.sum(np.abs(hs.gaussian_coefficients(freq, shift, 4000)) ** 2)
+        assert total == pytest.approx(np.sqrt(np.pi), rel=1e-13)
+
+    @given(st.floats(-50.0, 50.0), st.floats(-10.0, 10.0), st.floats(0.0, 4.0),
+           st.integers(0, 300))
+    def test_normal_seed_runs_on_true_values(self, freq, shift, m, n_max):
+        expected, size = true_value_recurrence(freq, shift, n_max, m)
+        assume(size >= np.finfo(float).tiny)
+        got = hs.gaussian_coefficients(freq, shift, n_max, m)
+        assert got.tobytes() == expected.tobytes()
 
     def test_no_overflow_at_high_order(self):
         for m in (0.0, 0.5, 3.0):

@@ -561,6 +561,20 @@ class TestReproduce:
         with pytest.raises(ValueError):
             cli.reproduce("fig9", tmp_path)
 
+    def test_fig1_fig2_are_one_byte_stable_target(self, tmp_path):
+        # Two runs of one target under its two names: the same CSV bytes and
+        # the same summary text, in a summary file named after the target.
+        a, b = tmp_path / "a", tmp_path / "b"
+        assert cli.reproduce("fig1", a) == 0
+        assert cli.reproduce("fig2", b) == 0
+        names = sorted(p.name for p in a.glob("*.csv"))
+        assert names == sorted(p.name for p in b.glob("*.csv")) \
+            == ["fig1_beta1.csv", "fig2_beta_n38.csv"]
+        for name in names:
+            assert (a / name).read_bytes() == (b / name).read_bytes()
+        assert (a / "fig1_summary.txt").read_text() \
+            == (b / "fig2_summary.txt").read_text()
+
     def test_fig3_reports_designed_failure(self, tmp_path):
         # The stated N >= 64 threshold does not hold for this scheme (the
         # crossover sits near N ~ 110, see the README/acceptance notes), so
