@@ -30,11 +30,14 @@ _LN2 = np.log(2.0)
 # ln 2 = _LN2_HI + _LN2_LO with 21 trailing zero bits in _LN2_HI, so
 # e * _LN2_HI is exact for |e| < 2**21.
 _LN2_HI, _LN2_LO = 6.93147180369123816490e-01, 1.90821492927058770002e-10
-# Seed-relative rows are divided by 2**_RESCALE_BITS whenever they exceed
-# 2**_RESCALE_BITS; scaling by a power of two is exact.
-_RESCALE_BITS = 600
+# Seed-relative values above 2**_RESCALE_BITS (Hermite rows: 2**_ROW_LIMIT_BITS,
+# tested every few rows) are divided by 2**_RESCALE_BITS; that is exact.
+_RESCALE_BITS, _ROW_LIMIT_BITS = 600, 500
 _RESCALE = 2.0 ** _RESCALE_BITS
 _UNSCALE = 2.0 ** -_RESCALE_BITS
+# Every h_n, n <= N_MAX_LIMIT, underflows to 0 beyond |x| ~ 1e3; clipping x
+# to +-_X_CLIP keeps x*x finite.
+_X_CLIP = 1e150
 
 
 def _check_index(n_max, limit: int = N_MAX_LIMIT) -> int:
@@ -92,11 +95,14 @@ class SpectralCoeffs:
         return float(np.linalg.norm(self.values))
 
 
-def _validate_points(x):
+def _points(x, beta: float = 1.0) -> np.ndarray:
+    """beta*x at finite points x, clipped to +-_X_CLIP.  A product that
+    overflows is clipped too: every h_n is an exact 0 there."""
     x = np.asarray(x, dtype=float)
     if not np.all(np.isfinite(x)):
         raise ValueError("evaluation points must be finite")
-    return x
+    with np.errstate(over="ignore"):
+        return np.clip(beta * x, -_X_CLIP, _X_CLIP)
 
 
 def _hermite_rows(x: np.ndarray, n_max: int):
@@ -107,11 +113,11 @@ def _hermite_rows(x: np.ndarray, n_max: int):
     v_n = h_n(x) * 2**-e with a per-point exponent e, raised in exact
     power-of-two rescales, and are emitted as (v_n * 2**(e+B)) * 2**-B, which
     is correctly rounded wherever h_n(x) is a normal double.  Every value
-    depends on its own point only, not on the rest of the batch.
+    depends on its own point only, not on the rest of the batch.  Rows are
+    computed in place on rotating buffers: a yielded row stays valid until two
+    more rows are drawn, and must not be written to.
     """
-    # Every h_n, n <= N_MAX_LIMIT, underflows to 0 beyond |x| ~ 1e3; the clip
-    # keeps x*x finite.
-    x = np.clip(x, -1e150, 1e150)
+    x = np.clip(x, -_X_CLIP, _X_CLIP)
     cur = _PI_M4 * np.exp(-0.5 * x * x)
     scale = None
     under = cur < np.finfo(float).tiny
@@ -123,23 +129,36 @@ def _hermite_rows(x: np.ndarray, n_max: int):
         cur[under] = np.exp(ls - exponent[under] * _LN2)
         # 2**(e+B): exactly 2**B for the true-value points.
         scale = np.ldexp(1.0, exponent + _RESCALE_BITS)
+        out = (np.empty_like(x), np.empty_like(x))
+        # A row is at most sqrt(2)|x| + 1 times the larger of the two before
+        # it: tested every `every` rows, none exceeds 2**(_ROW_LIMIT_BITS + 523).
+        growth = math.log2(math.sqrt(2.0) * np.abs(x).max() + 1.0)
+        every = max(1, min(8, int((1023 - _ROW_LIMIT_BITS) / growth)))
 
-    def emit(v):
-        return v if scale is None else v * scale * _UNSCALE
+    def emit(n, v):  # into output buffer n % 2, as (v * 2**(e+B)) * 2**-B
+        return v if scale is None else np.multiply(
+            np.multiply(v, scale, out=out[n % 2]), _UNSCALE, out=out[n % 2])
 
-    prev = np.zeros_like(x)
-    yield emit(cur)
+    steps = np.arange(1.0, n_max + 1.0)
+    a, b = np.sqrt(2.0 / steps), np.sqrt((steps - 1.0) / steps)
+    prev, new = np.zeros_like(x), np.empty_like(x)
+    yield emit(0, cur)
     for n in range(n_max):
-        prev, cur = cur, (x * math.sqrt(2.0 / (n + 1)) * cur
-                          - math.sqrt(n / (n + 1)) * prev)
-        if scale is not None:
-            big = np.abs(cur) > _RESCALE
+        if scale is not None and n % every == 0:  # `new` is free scratch here
+            big = (np.maximum(np.abs(prev, out=new), np.abs(cur), out=new)
+                   > 2.0 ** _ROW_LIMIT_BITS)
             if big.any():
                 prev[big] *= _UNSCALE
                 cur[big] *= _UNSCALE
                 exponent[big] += _RESCALE_BITS
                 scale[big] = np.ldexp(1.0, exponent[big] + _RESCALE_BITS)
-        yield emit(cur)
+        # ((x * a_n) * h_n) - (b_n * h_{n-1}), the row before last overwritten.
+        np.multiply(x, a[n], out=new)
+        new *= cur
+        prev *= b[n]
+        new -= prev
+        prev, cur, new = cur, new, prev
+        yield emit(n + 1, cur)
 
 
 def eval_hermite_functions(x, n_max: int) -> np.ndarray:
@@ -151,7 +170,7 @@ def eval_hermite_functions(x, n_max: int) -> np.ndarray:
     point alone and stays correct for any n within the guard limit.
     """
     _check_index(n_max)
-    x = _validate_points(x)
+    x = _points(x)
     xv = np.atleast_1d(x).ravel()
     out = np.empty((n_max + 1, xv.size))
     for n, row in enumerate(_hermite_rows(xv, n_max)):
@@ -161,8 +180,7 @@ def eval_hermite_functions(x, n_max: int) -> np.ndarray:
 
 def eval_scaled_basis(basis: ScaledBasis, x) -> np.ndarray:
     """Values phi_0(x) .. phi_N(x) with phi_n(x) = sqrt(beta)*h_n(beta*x)."""
-    x = _validate_points(x)
-    return np.sqrt(basis.beta) * eval_hermite_functions(basis.beta * x, basis.n_max)
+    return np.sqrt(basis.beta) * eval_hermite_functions(_points(x, basis.beta), basis.n_max)
 
 
 def synthesize(coeffs: SpectralCoeffs, x) -> np.ndarray:
@@ -171,16 +189,17 @@ def synthesize(coeffs: SpectralCoeffs, x) -> np.ndarray:
     Accumulates over the streamed basis rows, so memory is O(size of x)
     whatever the truncation index; a scalar x gives a 0-d array.
     """
-    x = _validate_points(x)
     beta = coeffs.basis.beta
-    return (np.sqrt(beta) * _series(coeffs.values, beta * x.ravel())).reshape(x.shape)
+    bx = _points(x, beta)
+    return (np.sqrt(beta) * _series(coeffs.values, bx.ravel())).reshape(bx.shape)
 
 
 def _series(c: np.ndarray, x: np.ndarray) -> np.ndarray:
     """sum_n c[n] * h_n(x) at a 1-d array x, accumulated over streamed rows."""
     acc = np.zeros(x.size, dtype=np.result_type(c, float))
+    term = np.empty_like(acc)
     for cn, row in zip(c, _hermite_rows(x, c.size - 1)):
-        acc += cn * row
+        acc += np.multiply(cn, row, out=term)
     return acc
 
 

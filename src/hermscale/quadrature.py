@@ -104,9 +104,9 @@ def compute_grid(n_max: int) -> CollocationGrid:
     x = _root_guesses(n)
     for _ in range(_NEWTON_PASSES):
         rows = _hermite_rows(x, n + 1)
-        inv_weight = np.zeros_like(x)
+        inv_weight, square = np.zeros_like(x), np.empty_like(x)
         for h_n in itertools.islice(rows, n + 1):
-            inv_weight += h_n * h_n
+            inv_weight += np.multiply(h_n, h_n, out=square)
         h_np1 = next(rows)
         step = h_np1 / (math.sqrt(2.0 * (n + 1)) * h_n - x * h_np1)
         if np.all(np.abs(step) <= _STEP_ULPS * np.finfo(float).eps * np.maximum(1.0, x)):

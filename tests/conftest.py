@@ -95,3 +95,43 @@ def small_catalog():
         hs.gaussian_power(2),
         hs.gaussian_power(4),
     ]
+
+
+_ORACLE_PI_M4 = np.pi ** -0.25
+_ORACLE_LN2 = np.log(2.0)
+_ORACLE_RESCALE_BITS = 600
+_ORACLE_RESCALE = 2.0 ** _ORACLE_RESCALE_BITS
+_ORACLE_UNSCALE = 2.0 ** -_ORACLE_RESCALE_BITS
+
+
+def oracle_hermite_rows(x, n_max):
+    """The Hermite-function row recurrence as it stood before it ran in
+    place: a fresh array per row, a rescale test on every row at 2**600.
+    Kept as the bitwise reference for basis._hermite_rows."""
+    x = np.clip(x, -1e150, 1e150)
+    cur = _ORACLE_PI_M4 * np.exp(-0.5 * x * x)
+    scale = None
+    under = cur < np.finfo(float).tiny
+    if under.any():
+        ls = -0.5 * x[under] ** 2 - 0.25 * np.log(np.pi)
+        exponent = np.zeros(x.shape, dtype=np.int64)
+        exponent[under] = np.maximum(np.floor(ls / _ORACLE_LN2), -2.0 ** 62)
+        cur[under] = np.exp(ls - exponent[under] * _ORACLE_LN2)
+        scale = np.ldexp(1.0, exponent + _ORACLE_RESCALE_BITS)
+
+    def emit(v):
+        return v if scale is None else v * scale * _ORACLE_UNSCALE
+
+    prev = np.zeros_like(x)
+    yield emit(cur)
+    for n in range(n_max):
+        prev, cur = cur, (x * math.sqrt(2.0 / (n + 1)) * cur
+                          - math.sqrt(n / (n + 1)) * prev)
+        if scale is not None:
+            big = np.abs(cur) > _ORACLE_RESCALE
+            if big.any():
+                prev[big] *= _ORACLE_UNSCALE
+                cur[big] *= _ORACLE_UNSCALE
+                exponent[big] += _ORACLE_RESCALE_BITS
+                scale[big] = np.ldexp(1.0, exponent[big] + _ORACLE_RESCALE_BITS)
+        yield emit(cur)

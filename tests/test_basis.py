@@ -13,10 +13,10 @@ from scipy.integrate import quad_vec
 import hermscale as hs
 from hermscale import galerkin
 from hermscale.basis import (BETA_MAX, BETA_MIN, N_MAX_LIMIT, ScaledBasis,
-                             SpectralCoeffs)
+                             SpectralCoeffs, _hermite_rows)
 from hermscale.operators import support_radius
 
-from conftest import gram_matrix_by_quadrature, numerical_fourier
+from conftest import gram_matrix_by_quadrature, numerical_fourier, oracle_hermite_rows
 
 PI_M4 = np.pi ** -0.25
 
@@ -135,6 +135,49 @@ class TestHermiteFunctions:
             hs.eval_hermite_functions(0.0, 100_001)
 
 
+def signed(magnitudes):
+    return st.tuples(magnitudes, st.booleans()).map(lambda t: -t[0] if t[1] else t[0])
+
+
+# Point classes of the recurrence: true-value seeds, seeds that underflow
+# (|x| > ~37.6), the range up to the int64 clamp of the seed's exponent
+# (~2.5e9), the limit of the fixed 8-row rescale test (~3.7e19) and the clip.
+KERNEL_POINTS = st.one_of(
+    st.floats(-30.0, 30.0),
+    signed(st.floats(37.0, 60.0)),
+    signed(st.floats(60.0, 4e9)),
+    st.sampled_from([3.7e19, -3.7e19, 1e150, -1e150]))
+
+
+class TestRowKernel:
+    @settings(max_examples=60)
+    @given(x=st.lists(KERNEL_POINTS, max_size=12), n_max=st.integers(0, 2000))
+    @example(x=[], n_max=0)
+    @example(x=[], n_max=5)
+    @example(x=[0.5, -41.0], n_max=0)
+    @example(x=[0.5, -41.0], n_max=1)
+    @example(x=[-1e150, 3.7e19, 2.5e9, -57.3, 38.0, 12.0, 0.0], n_max=2000)
+    def test_rows_bitwise_equal_to_oracle(self, x, n_max):
+        x = np.array(x, dtype=float)
+        got = [row.copy() for row in _hermite_rows(x, n_max)]
+        expected = list(oracle_hermite_rows(x, n_max))
+        assert len(got) == len(expected) == n_max + 1
+        for n, (row, want) in enumerate(zip(got, expected)):
+            assert row.tobytes() == want.tobytes(), n
+
+    @pytest.mark.parametrize("x", [np.linspace(-30.0, 30.0, 61),
+                                   np.r_[np.linspace(-30.0, 30.0, 11), 40.0, -57.3, 1e150]])
+    def test_row_valid_until_two_more_drawn(self, x):
+        # Row n is held while row n+1 is drawn: that must leave it intact.
+        n_max = 1500
+        rows = _hermite_rows(x, n_max)
+        held = next(rows)
+        for n, want in enumerate(oracle_hermite_rows(x, n_max - 1)):
+            following = next(rows)
+            assert held.tobytes() == want.tobytes(), n
+            held = following
+
+
 class TestScaledBasis:
     def test_beta_one_reduces_to_hermite(self):
         basis = ScaledBasis(1, 1.0)
@@ -163,6 +206,20 @@ class TestScaledBasis:
                      -1.0, np.nan):
             with pytest.raises(ValueError):
                 ScaledBasis(4, beta)
+
+    @pytest.mark.parametrize("beta", [1e100, 1e50])
+    def test_overflowing_scaled_points_give_zeros(self, beta):
+        # beta*x overflows at the finite points +-1e300 and +-1e260, and is
+        # beta at 1.0; h_n is 0 in double precision at all of them, so both
+        # evaluators return exact zeros, without a warning.
+        basis = ScaledBasis(4, beta)
+        x = np.array([1e300, -1e300, 1e260, -1e260, 1.0])
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            values = hs.eval_scaled_basis(basis, x)
+            summed = hs.synthesize(SpectralCoeffs(basis, np.arange(1.0, 6.0)), x)
+        assert np.array_equal(values, np.zeros((5, 5)))
+        assert np.array_equal(summed, np.zeros(5))
 
 
 class TestSynthesize:

@@ -13,6 +13,8 @@ from hermscale import quadrature
 from hermscale.basis import ScaledBasis, SpectralCoeffs, _hermite_rows
 from hermscale.quadrature import compute_grid
 
+from conftest import oracle_hermite_rows
+
 
 def eigen_grid(n):
     """Nodes from the eigenvalues of the Jacobi matrix, polished by one Newton
@@ -97,6 +99,21 @@ class TestGridConstruction:
         # wherever a node differs in its last bit.
         assert all(w <= (2e-12 if n > 4096 else 1e-12) for n, w in worst_w.items()), worst_w
 
+    @pytest.mark.parametrize("n", [1, 2, 41, 42, 1000, 4096])
+    def test_bitwise_equal_to_oracle_recurrence(self, n, monkeypatch):
+        # Newton on the oracle's rows gives the expected nodes; the weights
+        # are summed here from the oracle's rows at the non-negative nodes.
+        grid = compute_grid(n)
+        monkeypatch.setattr(quadrature, "_hermite_rows", oracle_hermite_rows)
+        assert grid.nodes.tobytes() == compute_grid(n).nodes.tobytes()
+        x = grid.nodes[(n + 1) // 2:]
+        inv_weight = np.zeros_like(x)
+        for h in oracle_hermite_rows(x, n):
+            inv_weight += h * h
+        lower = slice(None, 0 if n % 2 == 0 else None, -1)
+        weights = 1.0 / np.r_[inv_weight[lower], inv_weight]
+        assert grid.weights.tobytes() == weights.tobytes()
+
     @pytest.mark.parametrize("n", [64, 1000])
     def test_at_most_three_passes(self, n, monkeypatch):
         calls = []
@@ -114,6 +131,11 @@ class TestGridConstruction:
             compute_grid(10_001)
         with pytest.raises(ValueError):
             compute_grid(-1)
+
+
+@pytest.fixture(scope="module")
+def limit_grid():
+    return compute_grid(quadrature.N_MAX_GRID)
 
 
 class TestTransforms:
@@ -171,9 +193,9 @@ class TestTransforms:
         product = (v * grid.weights) @ v.T
         assert np.abs(product - np.eye(n + 1)).max() < 1e-11
 
-    def test_transforms_stream_at_grid_limit(self):
+    def test_transforms_stream_at_grid_limit(self, limit_grid):
         # The Vandermonde matrix at this size would take 800 MB.
-        grid = compute_grid(quadrature.N_MAX_GRID)
+        grid = limit_grid
         values = np.cos(grid.nodes)
         tracemalloc.start()
         try:
@@ -184,6 +206,21 @@ class TestTransforms:
             tracemalloc.stop()
         assert peak < 16e6
         assert np.abs(back - values).max() < 1e-13 * math.sqrt(grid.size)
+
+    def test_row_pass_memory_linear(self, limit_grid):
+        # 10,001 nodes, 67% of them with an underflowing seed, and 10,001
+        # rows.  Live at once: x, three rotating rows, two emitted rows,
+        # scale and exponent (M doubles each), the step and the two
+        # coefficient arrays (N each), one temporary of the rescale test:
+        # 12 x 80 kB = 0.96 MB.  The basis matrix would take 800 MB.
+        tracemalloc.start()
+        try:
+            for _ in _hermite_rows(limit_grid.nodes, limit_grid.n_max):
+                pass
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < 2e6
 
     @settings(max_examples=40)
     @given(st.integers(0, 600), st.floats(-3.0, 3.0), st.integers(0, 2 ** 32 - 1))
