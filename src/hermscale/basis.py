@@ -132,7 +132,8 @@ def _hermite_rows(x: np.ndarray, n_max: int):
         out = (np.empty_like(x), np.empty_like(x))
         # A row is at most sqrt(2)|x| + 1 times the larger of the two before
         # it: tested every `every` rows, none exceeds 2**(_ROW_LIMIT_BITS + 523).
-        growth = math.log2(math.sqrt(2.0) * np.abs(x).max() + 1.0)
+        # Rows of a point whose seed is exactly 0 stay 0 and do not count.
+        growth = math.log2(math.sqrt(2.0) * np.abs(x[cur != 0]).max(initial=1.0) + 1.0)
         every = max(1, min(8, int((1023 - _ROW_LIMIT_BITS) / growth)))
 
     def emit(n, v):  # into output buffer n % 2, as (v * 2**(e+B)) * 2**-B

@@ -18,10 +18,10 @@ import numpy as np
 
 from . import galerkin
 from .basis import N_MAX_LIMIT, ScaledBasis
-from .errors import AccuracyError, HermscaleError
+from .errors import AccuracyError, BracketError, HermscaleError
 from .fourier import TestFunction, _parse_call, catalog_entry
-from .operators import (ErrorBreakdown, error_breakdown, projection_error,
-                        transition_point)
+from .operators import (ErrorBreakdown, _bisect, error_breakdown,
+                        projection_error, transition_point)
 from .quadrature import N_MAX_GRID, compute_grid
 
 CSV_HEADER = "n,beta,error,e_spatial,e_frequency,e_hermite"
@@ -302,17 +302,10 @@ def detect_slope_change(records) -> float:
     def gap(n):
         return (s1 * math.sqrt(n) + c1) - (s2 * math.log(n) + c2)
 
-    lo, hi = ns[0], ns[-1]
-    g_lo, g_hi = gap(lo), gap(hi)
-    if g_lo * g_hi < 0:
-        while hi - lo > 1e-3 * lo:
-            mid = 0.5 * (lo + hi)
-            if gap(mid) * g_lo > 0:
-                lo = mid
-            else:
-                hi = mid
-        return 0.5 * (lo + hi)
-    return math.sqrt(ns[i] * ns[i + 1])  # fits never cross: report the split
+    try:
+        return _bisect(gap, ns[0], ns[-1], lambda lo, hi: 1e-3 * lo, "fit gap")[0]
+    except BracketError:
+        return math.sqrt(ns[i] * ns[i + 1])  # fits never cross: report the split
 
 
 # ---------------------------------------------------------------------------

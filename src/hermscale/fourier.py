@@ -153,13 +153,14 @@ class DecayMeta:
     frequency_rate: float
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, kw_only=True)
 class TestFunction:
     """A function u with its transform, tail-norm evaluators and metadata.
 
-    derivative() is the one way to u' and u'': each is a catalog entry of its
-    own, whose eval_Fu is k**m * F[u](k), of magnitude |F[d^m u]|; tail norms
-    only ever use magnitudes.
+    A tail not given is tail_norm of eval_u or eval_Fu, and an l2_norm not
+    given is spatial_tail(0).  derivative() is the one way to u' and u'':
+    each is a catalog entry of its own, whose eval_Fu is k**m * F[u](k), of
+    magnitude |F[d^m u]|; tail norms only ever use magnitudes.
     """
 
     __test__ = False  # "Test" prefix is domain vocabulary, not a pytest class
@@ -167,11 +168,19 @@ class TestFunction:
     id: str
     eval_u: Callable
     eval_Fu: Callable
-    spatial_tail: Callable[[float], float]
-    frequency_tail: Callable[[float], float]
-    l2_norm: float
+    spatial_tail: Optional[Callable[[float], float]] = None
+    frequency_tail: Optional[Callable[[float], float]] = None
+    l2_norm: Optional[float] = None
     decay_meta: DecayMeta
     derivative_factory: Optional[Callable] = None
+
+    def __post_init__(self):
+        if self.spatial_tail is None:
+            object.__setattr__(self, "spatial_tail", partial(tail_norm, self.eval_u))
+        if self.frequency_tail is None:
+            object.__setattr__(self, "frequency_tail", partial(tail_norm, self.eval_Fu))
+        if self.l2_norm is None:
+            object.__setattr__(self, "l2_norm", self.spatial_tail(0.0))
 
     def derivative(self) -> "TestFunction":
         """Catalog entry for du/dx (closed-form evaluator, oracle tails)."""
@@ -196,19 +205,12 @@ def _derived_entry(parent: TestFunction, eval_v, eval_dv=None,
 
     F[v] = i*k*F[u], so the frequency tail integrates |k * parent.Fu(k)|**2.
     """
-    if spatial_tail is None:
-        spatial_tail = partial(tail_norm, eval_v)
-    fu = lambda k: k * parent.eval_Fu(k)
-    if frequency_tail is None:
-        frequency_tail = partial(tail_norm, fu)
-
     entry = TestFunction(
         id=f"d/dx[{parent.id}]",
         eval_u=eval_v,
-        eval_Fu=fu,
+        eval_Fu=lambda k: k * parent.eval_Fu(k),
         spatial_tail=spatial_tail,
         frequency_tail=frequency_tail,
-        l2_norm=spatial_tail(0.0),
         decay_meta=meta or parent.decay_meta,
         derivative_factory=None if eval_dv is None else lambda: _derived_entry(entry, eval_dv),
     )
@@ -331,8 +333,6 @@ def algebraic(h: float) -> TestFunction:
         q = 1.0 + x * x
         return (4.0 * h * (h + 1.0) * x * x - 2.0 * h * q) * q ** (-h - 2.0)
 
-    spatial = partial(tail_norm, u)
-
     if h == 1.0:
         frequency = lambda k: _SQRT_HALF_PI * math.exp(-_cutoff(k))
     else:
@@ -349,8 +349,7 @@ def algebraic(h: float) -> TestFunction:
 
     entry = TestFunction(
         id=f"algebraic({h:g})",
-        eval_u=u, eval_Fu=partial(algebraic_transform, h),
-        spatial_tail=spatial, frequency_tail=frequency,
+        eval_u=u, eval_Fu=partial(algebraic_transform, h), frequency_tail=frequency,
         l2_norm=math.sqrt(_SQRT_PI * math.gamma(2.0 * h - 0.5) / math.gamma(2.0 * h)),
         decay_meta=DecayMeta("algebraic", h, "exponential", 1.0),
         derivative_factory=deriv,
@@ -397,7 +396,6 @@ def gaussian_power(n: int) -> TestFunction:
         fu = lambda k: sig * np.exp(-np.minimum(np.abs(k), 60.0) ** 2 / 4.0)
         spatial = lambda m: math.sqrt(sig * _SQRT_PI * math.erfc(m / sig))
         frequency = lambda k: math.sqrt(sig * _SQRT_PI * math.erfc(sig * k))
-        l2 = math.sqrt(sig * _SQRT_PI)
     else:
         nodes, weights = _GL16
         lam = (-1.0) ** np.arange(16) * np.sqrt((1.0 - nodes ** 2) * weights)
@@ -427,8 +425,7 @@ def gaussian_power(n: int) -> TestFunction:
                 return 0.0
             return _panel_tail(fu, np.r_[kc, np.arange(math.floor(kc) + 1, k_max + 1)])
 
-        spatial = partial(tail_norm, u)
-        l2 = spatial(0.0)
+        spatial = None  # tail_norm of u, and the norm from it
 
     def deriv():
         return _derived_entry(
@@ -439,7 +436,6 @@ def gaussian_power(n: int) -> TestFunction:
         id=f"gaussian_power({n})",
         eval_u=u, eval_Fu=fu,
         spatial_tail=spatial, frequency_tail=frequency,
-        l2_norm=l2,
         decay_meta=DecayMeta("exponential", float(two_n), "exponential", freq_rate),
         derivative_factory=deriv,
     )

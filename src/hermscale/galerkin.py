@@ -16,13 +16,11 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from functools import partial
-from typing import Optional
 
 import numpy as np
 
 from .basis import ScaledBasis, SpectralCoeffs, differentiate
-from .fourier import TestFunction, tail_norm
+from .fourier import TestFunction
 from .operators import interpolate, residual_l2
 from .quadrature import CollocationGrid, synthesis
 
@@ -33,7 +31,6 @@ class ModelProblem:
 
     gamma: float
     rhs: TestFunction
-    exact: Optional[TestFunction] = None
 
     def __post_init__(self):
         if not (np.isfinite(self.gamma) and self.gamma > 0):
@@ -122,12 +119,9 @@ def manufactured_problem(exact: TestFunction, gamma: float = 1.0) -> ModelProble
         id=f"rhs[{exact.id},gamma={gamma:g}]",
         eval_u=f_eval,
         eval_Fu=f_transform,
-        spatial_tail=partial(tail_norm, f_eval),
-        frequency_tail=partial(tail_norm, f_transform),
-        l2_norm=tail_norm(f_eval, 0.0),
         decay_meta=exact.decay_meta,
     )
-    return ModelProblem(gamma=gamma, rhs=rhs, exact=exact)
+    return ModelProblem(gamma=gamma, rhs=rhs)
 
 
 def discrete_solution_error(coeffs: SpectralCoeffs, exact: TestFunction,

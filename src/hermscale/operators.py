@@ -15,6 +15,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from functools import cache
 
 import numpy as np
 
@@ -175,6 +176,35 @@ def indicator_sum(u: TestFunction, basis: ScaledBasis, level: int = 0) -> float:
     return e_d2u + beta * e_du + beta * beta * n * e_u
 
 
+def _bisect(f, lo, hi, width, what):
+    """Bisection for a sign change of f on [lo, hi]: (root, last f value).
+
+    An end where f is exactly 0 is the root; BracketError, carrying both end
+    values, when the ends have the same sign.  The bracket is halved until
+    hi - lo <= width(lo, hi) and its midpoint returned; a midpoint where f
+    is exactly 0 is returned at once.
+    """
+    f_lo, f_hi = f(lo), f(hi)
+    if f_lo == 0.0:
+        return lo, f_lo
+    if f_hi == 0.0:
+        return hi, f_hi
+    if (f_lo < 0.0) == (f_hi < 0.0):
+        raise BracketError(f"{what} does not change sign on [{lo:g}, {hi:g}]",
+                           f_lo=f_lo, f_hi=f_hi)
+    f_mid = f_hi
+    while hi - lo > width(lo, hi):
+        mid = 0.5 * (lo + hi)
+        f_mid = f(mid)
+        if f_mid == 0.0:
+            return mid, f_mid
+        if (f_mid < 0.0) == (f_lo < 0.0):
+            lo = mid
+        else:
+            hi = mid
+    return 0.5 * (lo + hi), f_mid
+
+
 def balance_scaling(u: TestFunction, n_max: int, bracket) -> float:
     """Scale beta* equalizing the spatial and frequency indicator components.
 
@@ -189,40 +219,22 @@ def balance_scaling(u: TestFunction, n_max: int, bracket) -> float:
     if not 0 < lo < hi:
         raise ValueError(f"bracket must satisfy 0 < lo < hi, got {bracket}")
 
-    def log_diff(beta):
+    def log_diff(beta):  # 0 once balanced to _BALANCE_LOG_TOL
         tails = error_breakdown(u, ScaledBasis(n_max, beta))
         e_s, e_f = tails.spatial, tails.frequency
-        if e_s == 0.0 and e_f == 0.0:
-            return 0.0
-        if e_s == 0.0:
-            return -math.inf
-        if e_f == 0.0:
-            return math.inf
-        return math.log(e_s) - math.log(e_f)
+        if e_s == 0.0 or e_f == 0.0:
+            return 0.0 if e_s == e_f else math.copysign(math.inf, e_s - e_f)
+        g = math.log(e_s) - math.log(e_f)
+        return 0.0 if abs(g) < _BALANCE_LOG_TOL else g
 
-    g_lo, g_hi = log_diff(lo), log_diff(hi)
-    if abs(g_lo) < _BALANCE_LOG_TOL:
-        return lo
-    if abs(g_hi) < _BALANCE_LOG_TOL:
-        return hi
-    if not (g_lo < 0.0 < g_hi):
-        raise BracketError(
-            f"{u.id}: spatial/frequency log-difference does not change sign "
-            f"on beta bracket [{lo:g}, {hi:g}]", f_lo=g_lo, f_hi=g_hi)
-    g_mid = math.inf
-    while hi - lo > 1e-13 * max(1.0, hi):
-        mid = 0.5 * (lo + hi)
-        g_mid = log_diff(mid)
-        if abs(g_mid) < _BALANCE_LOG_TOL:
-            return mid
-        if g_mid < 0.0:
-            lo = mid
-        else:
-            hi = mid
+    beta, g = _bisect(log_diff, lo, hi, lambda lo, hi: 1e-13 * max(1.0, hi),
+                      f"{u.id}: spatial/frequency log-difference over beta")
+    if g == 0.0:
+        return beta
     raise AccuracyError(
-        f"{u.id}: balance bisection saturated near beta={0.5 * (lo + hi):g} "
+        f"{u.id}: balance bisection saturated near beta={beta:g} "
         f"without reaching |log-difference| < {_BALANCE_LOG_TOL:g} (tail underflow "
-        f"or discontinuity)", achieved=abs(g_mid) if math.isfinite(g_mid) else None)
+        f"or discontinuity)", achieved=abs(g) if math.isfinite(g) else None)
 
 
 def transition_point(u: TestFunction, bracket) -> float:
@@ -238,28 +250,12 @@ def transition_point(u: TestFunction, bracket) -> float:
     if not 0 <= lo < hi:
         raise ValueError(f"bracket must satisfy 0 <= lo < hi, got {bracket}")
 
+    @cache  # the bisection re-evaluates the three probes below
     def f(c):
         return u.spatial_tail(c) - u.frequency_tail(c)
 
-    f_lo, f_hi = f(lo), f(hi)
-    if max(abs(f_lo), abs(f(0.5 * (lo + hi))), abs(f_hi)) < 1e-12:
+    if max(abs(f(lo)), abs(f(0.5 * (lo + hi))), abs(f(hi))) < 1e-12:
         raise DegenerateBalanceError(
             f"{u.id}: tail difference vanishes across [{lo:g}, {hi:g}]; "
             "every cutoff balances (self-dual input)")
-    if f_lo == 0.0:
-        return lo
-    if f_hi == 0.0:
-        return hi
-    if f_lo * f_hi > 0.0:
-        raise BracketError(f"{u.id}: tail difference does not change sign on "
-                           f"[{lo:g}, {hi:g}]", f_lo=f_lo, f_hi=f_hi)
-    while hi - lo > _ROOT_WIDTH:
-        mid = 0.5 * (lo + hi)
-        f_mid = f(mid)
-        if f_mid == 0.0:
-            return mid
-        if (f_mid < 0.0) == (f_lo < 0.0):
-            lo, f_lo = mid, f_mid
-        else:
-            hi = mid
-    return 0.5 * (lo + hi)
+    return _bisect(f, lo, hi, lambda lo, hi: _ROOT_WIDTH, f"{u.id}: tail difference")[0]

@@ -15,7 +15,8 @@ from hypothesis import settings
 from scipy.integrate import quad
 
 import hermscale as hs
-from hermscale.errors import AccuracyError
+from hermscale import cli
+from hermscale.errors import AccuracyError, BracketError, DegenerateBalanceError
 
 # Fixed example sequence: the property tests draw the same inputs every run.
 settings.register_profile("hermscale", derandomize=True, deadline=None)
@@ -135,3 +136,112 @@ def oracle_hermite_rows(x, n_max):
                 exponent[big] += _ORACLE_RESCALE_BITS
                 scale[big] = np.ldexp(1.0, exponent[big] + _ORACLE_RESCALE_BITS)
         yield emit(cur)
+
+
+# The three bisection loops as they stood before they shared
+# operators._bisect, verbatim but for the module constants written out: the
+# bitwise reference for balance_scaling, transition_point and
+# detect_slope_change.
+
+
+def oracle_balance_scaling(u, n_max, bracket):
+    lo, hi = float(bracket[0]), float(bracket[1])
+    if not 0 < lo < hi:
+        raise ValueError(f"bracket must satisfy 0 < lo < hi, got {bracket}")
+
+    def log_diff(beta):
+        tails = hs.error_breakdown(u, hs.ScaledBasis(n_max, beta))
+        e_s, e_f = tails.spatial, tails.frequency
+        if e_s == 0.0 and e_f == 0.0:
+            return 0.0
+        if e_s == 0.0:
+            return -math.inf
+        if e_f == 0.0:
+            return math.inf
+        return math.log(e_s) - math.log(e_f)
+
+    g_lo, g_hi = log_diff(lo), log_diff(hi)
+    if abs(g_lo) < 1e-6:
+        return lo
+    if abs(g_hi) < 1e-6:
+        return hi
+    if not (g_lo < 0.0 < g_hi):
+        raise BracketError(
+            f"{u.id}: spatial/frequency log-difference does not change sign "
+            f"on beta bracket [{lo:g}, {hi:g}]", f_lo=g_lo, f_hi=g_hi)
+    g_mid = math.inf
+    while hi - lo > 1e-13 * max(1.0, hi):
+        mid = 0.5 * (lo + hi)
+        g_mid = log_diff(mid)
+        if abs(g_mid) < 1e-6:
+            return mid
+        if g_mid < 0.0:
+            lo = mid
+        else:
+            hi = mid
+    raise AccuracyError(
+        f"{u.id}: balance bisection saturated near beta={0.5 * (lo + hi):g} "
+        f"without reaching |log-difference| < {1e-6:g} (tail underflow "
+        f"or discontinuity)", achieved=abs(g_mid) if math.isfinite(g_mid) else None)
+
+
+def oracle_transition_point(u, bracket):
+    lo, hi = float(bracket[0]), float(bracket[1])
+    if not 0 <= lo < hi:
+        raise ValueError(f"bracket must satisfy 0 <= lo < hi, got {bracket}")
+
+    def f(c):
+        return u.spatial_tail(c) - u.frequency_tail(c)
+
+    f_lo, f_hi = f(lo), f(hi)
+    if max(abs(f_lo), abs(f(0.5 * (lo + hi))), abs(f_hi)) < 1e-12:
+        raise DegenerateBalanceError(
+            f"{u.id}: tail difference vanishes across [{lo:g}, {hi:g}]; "
+            "every cutoff balances (self-dual input)")
+    if f_lo == 0.0:
+        return lo
+    if f_hi == 0.0:
+        return hi
+    if f_lo * f_hi > 0.0:
+        raise BracketError(f"{u.id}: tail difference does not change sign on "
+                           f"[{lo:g}, {hi:g}]", f_lo=f_lo, f_hi=f_hi)
+    while hi - lo > 1e-3:
+        mid = 0.5 * (lo + hi)
+        f_mid = f(mid)
+        if f_mid == 0.0:
+            return mid
+        if (f_mid < 0.0) == (f_lo < 0.0):
+            lo, f_lo = mid, f_mid
+        else:
+            hi = mid
+    return 0.5 * (lo + hi)
+
+
+def oracle_detect_slope_change(records):
+    ns, log_e = cli._usable(records, 0.0, 8)
+
+    best = None
+    for i in range(3, len(ns) - 3):
+        s1, c1, _ = cli._least_squares_fit(np.sqrt(ns[:i + 1]), log_e[:i + 1])
+        s2, c2, _ = cli._least_squares_fit(np.log(ns[i:]), log_e[i:])
+        res1 = log_e[:i + 1] - (s1 * np.sqrt(ns[:i + 1]) + c1)
+        res2 = log_e[i:] - (s2 * np.log(ns[i:]) + c2)
+        ssr = float(res1 @ res1 + res2 @ res2)
+        if best is None or ssr < best[0]:
+            best = (ssr, i, s1, c1, s2, c2)
+    _, i, s1, c1, s2, c2 = best
+
+    def gap(n):
+        return (s1 * math.sqrt(n) + c1) - (s2 * math.log(n) + c2)
+
+    lo, hi = ns[0], ns[-1]
+    g_lo, g_hi = gap(lo), gap(hi)
+    if g_lo * g_hi < 0:
+        while hi - lo > 1e-3 * lo:
+            mid = 0.5 * (lo + hi)
+            if gap(mid) * g_lo > 0:
+                lo = mid
+            else:
+                hi = mid
+        return 0.5 * (lo + hi)
+    return math.sqrt(ns[i] * ns[i + 1])  # fits never cross: report the split

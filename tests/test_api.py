@@ -1,5 +1,8 @@
 """The package's public surface: what `import hermscale` offers a user."""
 
+import dataclasses
+import importlib
+import inspect
 import types
 
 import hermscale as hs
@@ -38,3 +41,36 @@ def test_every_public_name_is_documented():
         doc = getattr(hs, name).__doc__
         # A dataclass without a docstring gets its signature as __doc__.
         assert doc and doc.strip() and not doc.startswith(f"{name}("), name
+
+
+MODULES = ("_integrate", "basis", "cli", "errors", "fourier", "galerkin",
+           "operators", "quadrature")
+
+
+def settable_values(module):
+    """Every parameter of every public function and public method (self and
+    cls not counted), plus every field of every public dataclass, defined in
+    the module.  Public: the name has no leading underscore."""
+    count = 0
+    for name, obj in vars(module).items():
+        if name.startswith("_") or getattr(obj, "__module__", None) != module.__name__:
+            continue
+        if inspect.isfunction(obj):
+            count += len(inspect.signature(obj).parameters)
+        elif inspect.isclass(obj):
+            if dataclasses.is_dataclass(obj):
+                count += len(dataclasses.fields(obj))
+            for attr, member in vars(obj).items():
+                member = getattr(member, "__func__", member)  # static/classmethod
+                if not attr.startswith("_") and inspect.isfunction(member):
+                    count += len([p for p in inspect.signature(member).parameters
+                                  if p not in ("self", "cls")])
+    return count
+
+
+def test_settable_value_count():
+    # Each settable value doubles what tests and benchmarks may have to
+    # cover: a change that adds one must update this pin, on purpose.
+    counts = {m: settable_values(importlib.import_module(f"hermscale.{m}"))
+              for m in MODULES}
+    assert sum(counts.values()) == 140, counts

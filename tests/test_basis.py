@@ -157,6 +157,7 @@ class TestRowKernel:
     @example(x=[0.5, -41.0], n_max=0)
     @example(x=[0.5, -41.0], n_max=1)
     @example(x=[-1e150, 3.7e19, 2.5e9, -57.3, 38.0, 12.0, 0.0], n_max=2000)
+    @example(x=[1e150, -3.7e19], n_max=40)  # every seed exactly 0
     def test_rows_bitwise_equal_to_oracle(self, x, n_max):
         x = np.array(x, dtype=float)
         got = [row.copy() for row in _hermite_rows(x, n_max)]

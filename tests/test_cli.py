@@ -18,6 +18,8 @@ from hermscale.errors import AccuracyError
 from hermscale.operators import ErrorBreakdown
 from hermscale.quadrature import N_MAX_GRID
 
+from conftest import oracle_detect_slope_change
+
 
 def config_from_text(text):
     """A sweep config from config-file text, the way main reads --config."""
@@ -309,6 +311,24 @@ class TestSlopeChangeDetector:
     def test_needs_enough_points(self):
         with pytest.raises(ValueError):
             cli.detect_slope_change(synthetic_records([4, 8, 16], [1, 1, 1]))
+
+    @settings(max_examples=60)
+    @given(ns=st.lists(st.integers(2, 4096), min_size=8, max_size=20, unique=True),
+           log_errors=st.lists(st.floats(-60.0, 5.0), min_size=20, max_size=20))
+    @example(ns=[4, 6, 8, 11, 16, 23, 32, 45, 64, 91, 128], log_errors=[-1.0] * 20)
+    def test_bitwise_equal_to_oracle(self, ns, log_errors):
+        # The same crossing, value and type, as the loop before _bisect.
+        # Deliberate difference: where the fit gap is exactly 0 at an end of
+        # the range (flat errors: both fits are the same constant) that end
+        # is returned, not the split.
+        ns = sorted(ns)
+        records = synthetic_records(ns, [math.exp(e) for e in log_errors])
+        found = cli.detect_slope_change(records)
+        if len({r.error for r in records}) == 1:
+            assert repr(found) == repr(np.float64(ns[0]))
+            assert oracle_detect_slope_change(records) != found
+        else:
+            assert repr(found) == repr(oracle_detect_slope_change(records))
 
 
 class TestTransitionCommand:

@@ -1,18 +1,22 @@
+import dataclasses
 import math
 import tracemalloc
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 import hermscale as hs
 from hermscale.basis import ScaledBasis, SpectralCoeffs
-from hermscale.errors import AccuracyError, BracketError, DegenerateBalanceError
+from hermscale.errors import (AccuracyError, BracketError, DegenerateBalanceError,
+                              HermscaleError)
 from hermscale.fourier import DecayMeta, TestFunction
 from hermscale.operators import (FREQUENCY_CUTOFF_FACTOR,
-                                 SPATIAL_CUTOFF_FACTOR, residual_l2)
+                                 SPATIAL_CUTOFF_FACTOR, _bisect, residual_l2)
 from hermscale.quadrature import compute_grid
+
+from conftest import oracle_balance_scaling, oracle_transition_point
 
 
 def synthetic_test_function(coeffs):
@@ -200,6 +204,77 @@ class TestIndicatorSum:
             hs.indicator_sum(hs.gaussian(1.0, 0.0), ScaledBasis(8, 1.0), level=2)
 
 
+def outcome(root, *args):
+    """repr of the root (bitwise value and type), or the exception type."""
+    try:
+        return repr(root(*args))
+    except (ValueError, HermscaleError) as exc:
+        return type(exc)
+
+
+# The four catalog families.
+FAMILIES = st.one_of(
+    st.builds(hs.plain_gaussian, st.floats(-2.0, 2.0).map(lambda e: 10.0 ** e)),
+    st.builds(hs.gaussian, st.floats(-10.0, 10.0), st.floats(-10.0, 10.0)),
+    st.builds(hs.algebraic, st.floats(0.55, 30.0)),
+    st.builds(hs.gaussian_power, st.integers(1, 40)))
+
+
+# A frequency tail that jumps across the spatial one at K = 5: no balance.
+STEP = TestFunction(
+    id="step", eval_u=None, eval_Fu=None, spatial_tail=lambda m: 1.0,
+    frequency_tail=lambda k: 2.0 if k < 5.0 else 0.5, l2_norm=1.0,
+    decay_meta=DecayMeta("exponential", 2.0, "exponential", 2.0))
+
+
+class TestBisect:
+    def test_exact_zero_midpoint_returned_at_once(self):
+        calls = []
+
+        def f(x):
+            calls.append(x)
+            return x - 1.0
+
+        assert _bisect(f, 0.0, 2.0, lambda lo, hi: 1e-9, "f") == (1.0, 0.0)
+        assert calls == [0.0, 2.0, 1.0]
+
+    def test_exact_zero_end_returned(self):
+        assert _bisect(lambda x: x, 0.0, 1.0, lambda lo, hi: 1e-9, "f") == (0.0, 0.0)
+        assert _bisect(lambda x: x, -1.0, 0.0, lambda lo, hi: 1e-9, "f") == (0.0, 0.0)
+        # Even when both ends share a sign elsewhere: no BracketError.
+        assert _bisect(lambda x: x * x, 0.0, 1.0, lambda lo, hi: 1e-9, "f") == (0.0, 0.0)
+
+    def test_same_sign_raises_with_end_values(self):
+        with pytest.raises(BracketError, match="f does not change sign") as info:
+            _bisect(lambda x: x * x + 1.0, -1.0, 2.0, lambda lo, hi: 1e-9, "f")
+        assert (info.value.f_lo, info.value.f_hi) == (2.0, 5.0)
+        with pytest.raises(BracketError):
+            _bisect(lambda x: -1.0 - x * x, -1.0, 2.0, lambda lo, hi: 1e-9, "f")
+
+    @pytest.mark.parametrize("lo,hi,sign", [(1.0, 100.0, 1.0), (1.0, 100.0, -1.0),
+                                            (0.5, 3.0, 1.0)])
+    def test_width_rule_read_from_the_moving_bracket(self, lo, hi, sign):
+        seen = []
+
+        def width(a, b):
+            seen.append((a, b))
+            return 1e-3 * a
+
+        root, f_root = _bisect(lambda x: sign * (x * x - 2.0), lo, hi, width, "f")
+        # Halved while hi - lo > width(lo, hi), then the midpoint.
+        assert all(b - a > 1e-3 * a for a, b in seen[:-1])
+        a, b = seen[-1]
+        assert b - a <= 1e-3 * a and root == 0.5 * (a + b)
+        assert a < math.sqrt(2.0) < b
+        # The last value evaluated is returned with it.
+        assert f_root in (sign * (a * a - 2.0), sign * (b * b - 2.0))
+
+    def test_bracket_already_narrow(self):
+        # No halving: the midpoint, with f at the upper end as the last value.
+        assert _bisect(lambda x: x - 1.0, 0.9, 1.2, lambda lo, hi: 1.0, "f") == \
+            (0.5 * (0.9 + 1.2), 1.2 - 1.0)
+
+
 class TestBalanceScaling:
     def test_self_dual_balances_at_one(self):
         u = hs.plain_gaussian(1.0)
@@ -242,13 +317,25 @@ class TestBalanceScaling:
             with pytest.raises(ValueError):
                 hs.balance_scaling(u, n_max, bracket)
 
+    @settings(max_examples=30, deadline=None)
+    @given(u=FAMILIES, n_max=st.integers(0, 1024), log_lo=st.floats(-3.0, 0.0),
+           log_hi=st.floats(0.5, 3.0))
+    @example(u=hs.plain_gaussian(1.0), n_max=64, log_lo=-1e-14, log_hi=1e-14)
+    @example(u=hs.gaussian(10.0, 10.0), n_max=0, log_lo=-3.0, log_hi=3.0)
+    @example(u=STEP, n_max=64, log_lo=-3.0, log_hi=3.0)
+    def test_bitwise_equal_to_oracle(self, u, n_max, log_lo, log_hi):
+        # The same root, or the same exception type, as the loop before
+        # _bisect: roots, ends that balance (the first two examples),
+        # BracketError and, on STEP, AccuracyError.
+        # Deliberate difference: a bracket whose ends have reversed signs is
+        # no longer rejected; the log-difference is monotone increasing in
+        # beta (test below), so no bracket has them.
+        bracket = (10.0 ** log_lo, 10.0 ** log_hi)
+        assert outcome(hs.balance_scaling, u, n_max, bracket) == \
+            outcome(oracle_balance_scaling, u, n_max, bracket)
+
     @settings(max_examples=40, deadline=None)
-    @given(u=st.one_of(
-               st.builds(hs.plain_gaussian, st.floats(-2.0, 2.0).map(lambda e: 10.0 ** e)),
-               st.builds(hs.gaussian, st.floats(-10.0, 10.0), st.floats(-10.0, 10.0)),
-               st.builds(hs.algebraic, st.floats(0.55, 30.0)),
-               st.builds(hs.gaussian_power, st.integers(1, 40))),
-           n_max=st.integers(0, 1024),
+    @given(u=FAMILIES, n_max=st.integers(0, 1024),
            log_betas=st.lists(st.floats(-100.0, 100.0), min_size=2, max_size=6))
     def test_log_difference_monotone_in_beta(self, u, n_max, log_betas):
         # The function balance_scaling bisects does not decrease in beta,
@@ -276,6 +363,36 @@ class TestTransitionPoint:
     def test_bracket_error(self):
         with pytest.raises(BracketError):
             hs.transition_point(hs.algebraic(1.5), (20.0, 60.0))
+
+    def test_each_cutoff_evaluated_once(self):
+        # The degenerate-case probes at lo, the midpoint and hi are shared
+        # with the bisection.
+        u = hs.algebraic(1.5)
+        cutoffs = []
+
+        def spatial_tail(c):
+            cutoffs.append(c)
+            return u.spatial_tail(c)
+
+        hs.transition_point(dataclasses.replace(u, spatial_tail=spatial_tail), (1.0, 200.0))
+        assert len(cutoffs) == len(set(cutoffs)) == 20
+
+    @pytest.mark.parametrize("u,bracket", [
+        (hs.algebraic(1.5), (1.0, 200.0)), (hs.algebraic(2.0), (1.0, 200.0)),
+        (hs.algebraic(3.0), (1.0, 200.0)), (hs.algebraic(2.5), (1.0, 17.0)),
+        (hs.algebraic(1.5), (0.0, 7.0)), (hs.algebraic(1.0), (1.0, 200.0)),
+        (hs.algebraic(1.5), (20.0, 60.0)), (hs.plain_gaussian(1.0), (1.0, 50.0)),
+        (hs.algebraic(1.5), (5.0, 5.0))],
+        ids=lambda p: p.id if isinstance(p, TestFunction) else str(p))
+    def test_bitwise_equal_to_oracle(self, u, bracket):
+        # The same root, or the same exception type, as the loop before
+        # _bisect: four roots, an end where the difference is 0, two brackets
+        # without a sign change, the degenerate case and an empty bracket.
+        # Deliberate difference: the ends' signs are compared, not their
+        # product tested for > 0, so the two differ only where that product
+        # underflows.
+        assert outcome(hs.transition_point, u, bracket) == \
+            outcome(oracle_transition_point, u, bracket)
 
 
 class TestDualityIdentity:
