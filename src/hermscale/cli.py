@@ -11,6 +11,7 @@ import argparse
 import math
 import sys
 from dataclasses import dataclass
+from functools import lru_cache
 from pathlib import Path
 from typing import Callable, Iterator, Optional
 
@@ -22,7 +23,7 @@ from .errors import AccuracyError, BracketError, HermscaleError
 from .fourier import TestFunction, _parse_call, catalog_entry
 from .operators import (ErrorBreakdown, _bisect, error_breakdown,
                         projection_error, transition_point)
-from .quadrature import N_MAX_GRID, compute_grid
+from .quadrature import N_MAX_GRID, CollocationGrid, compute_grid
 
 CSV_HEADER = "n,beta,error,e_spatial,e_frequency,e_hermite"
 
@@ -160,12 +161,21 @@ def parse_schedule(text: str, u: TestFunction) -> Callable[[int], float]:
                      "power(c,p), logsqrt(c) or hlog(c)")
 
 
+# A grid at N_MAX_GRID holds 2 * 10,001 * 8 B ~ 160 KB, so 32 hold ~5.1 MB.
+@lru_cache(maxsize=32)
+def _grid(n_max: int) -> CollocationGrid:
+    """The frozen, read-only grid of size n_max+1, shared between sweeps;
+    compute_grid is looked up at call time, so a patch of it sees every
+    construction."""
+    return compute_grid(n_max)
+
+
 def _measure_error(u: TestFunction, basis: ScaledBasis,
                    problem: Optional[galerkin.ModelProblem],
                    measure: str) -> float:
     if measure == "l2_projection":
         return projection_error(u, basis)
-    grid = compute_grid(basis.n_max)
+    grid = _grid(basis.n_max)
     coeffs = galerkin.solve(problem, basis, grid)
     if measure == "l2_discrete":
         return galerkin.discrete_solution_error(coeffs, u, grid)

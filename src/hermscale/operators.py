@@ -213,7 +213,9 @@ def balance_scaling(u: TestFunction, n_max: int, bracket) -> float:
     spatial cutoff shrinks, the frequency cutoff grows); n_max and the
     bracket edges get ScaledBasis's domain checks.  When one tail underflows
     to zero the bisection clamps toward the bracket edge and reports
-    saturation instead of inventing a root.
+    saturation instead of inventing a root.  A probed beta where both tails
+    underflow to zero raises AccuracyError: there the log-difference is
+    undefined, and any beta returned would depend on the bracket, not on u.
     """
     lo, hi = float(bracket[0]), float(bracket[1])
     if not 0 < lo < hi:
@@ -222,8 +224,11 @@ def balance_scaling(u: TestFunction, n_max: int, bracket) -> float:
     def log_diff(beta):  # 0 once balanced to _BALANCE_LOG_TOL
         tails = error_breakdown(u, ScaledBasis(n_max, beta))
         e_s, e_f = tails.spatial, tails.frequency
+        if e_s == 0.0 == e_f:
+            raise AccuracyError(f"{u.id}: spatial and frequency tails both "
+                                f"underflow to 0 at N={n_max}, beta={beta:g}")
         if e_s == 0.0 or e_f == 0.0:
-            return 0.0 if e_s == e_f else math.copysign(math.inf, e_s - e_f)
+            return math.copysign(math.inf, e_s - e_f)
         g = math.log(e_s) - math.log(e_f)
         return 0.0 if abs(g) < _BALANCE_LOG_TOL else g
 

@@ -271,6 +271,70 @@ class TestRunSweep:
         assert h1 >= l2
 
 
+class TestGridMemo:
+    @staticmethod
+    def discrete(ns, schedule="constant(1)"):
+        return cli.SweepConfig(function="algebraic(1)", n_values=ns,
+                               schedule=schedule, measure="l2_discrete")
+
+    def test_second_sweep_reads_every_grid(self, monkeypatch):
+        # Two schedules over one N list: one construction per distinct N,
+        # each seen through the module global, and one hit per repeat.
+        built = []
+
+        def counting(n_max):
+            built.append(n_max)
+            return hs.compute_grid(n_max)
+
+        monkeypatch.setattr(cli, "compute_grid", counting)
+        cli._grid.cache_clear()
+        ns = (4, 6, 8, 10, 12)
+        for schedule in ("constant(1)", "logsqrt(3)"):
+            cli.run_sweep(self.discrete(ns, schedule))
+        info = cli._grid.cache_info()
+        assert built == list(ns)
+        assert (info.misses, info.hits) == (len(ns), len(ns))
+
+    def test_cold_and_warm_records_equal(self):
+        config = self.discrete((8, 16, 24), "logsqrt(3)")
+        cli._grid.cache_clear()
+        cold = cli.run_sweep(config)
+        warm = cli.run_sweep(config)
+        assert cli._grid.cache_info().hits == len(config.n_values)
+        assert repr(warm) == repr(cold)
+
+    def test_bounded_at_32_grids(self):
+        cli._grid.cache_clear()
+        cli.run_sweep(self.discrete(tuple(range(2, 42))))
+        info = cli._grid.cache_info()
+        assert info.misses == 40 and info.maxsize == 32
+        assert info.currsize <= 32
+
+    def test_cached_grid_is_read_only(self):
+        grid = cli._grid(16)
+        for array in (grid.nodes, grid.weights):
+            with pytest.raises(ValueError):
+                array[0] = 0.0
+            with pytest.raises(ValueError):
+                array *= 2.0
+        assert cli._grid(16) is grid
+
+    def test_warm_reproduce_is_byte_identical(self, tmp_path, capsys):
+        cli._grid.cache_clear()
+        cold, warm = tmp_path / "cold", tmp_path / "warm"
+        assert cli.reproduce("fig3", cold) == 2
+        cold_out = capsys.readouterr().out
+        misses = cli._grid.cache_info().misses
+        assert cli.reproduce("fig3", warm) == 2
+        assert capsys.readouterr().out == cold_out
+        assert cli._grid.cache_info().misses == misses
+        names = sorted(p.name for p in cold.iterdir())
+        assert names == sorted(p.name for p in warm.iterdir())
+        assert "fig3_summary.txt" in names and len(names) == 3
+        for name in names:
+            assert (warm / name).read_bytes() == (cold / name).read_bytes()
+
+
 class TestNormChoiceForReferenceOrders:
     def test_discrete_norm_reproduces_reference_order(self):
         records = cli.run_sweep(cli.SweepConfig(

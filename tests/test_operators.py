@@ -212,6 +212,11 @@ def outcome(root, *args):
         return type(exc)
 
 
+def both_tails_zero(u, n_max, beta):
+    tails = hs.error_breakdown(u, ScaledBasis(n_max, beta))
+    return tails.spatial == 0.0 == tails.frequency
+
+
 # The four catalog families.
 FAMILIES = st.one_of(
     st.builds(hs.plain_gaussian, st.floats(-2.0, 2.0).map(lambda e: 10.0 ** e)),
@@ -327,12 +332,35 @@ class TestBalanceScaling:
         # The same root, or the same exception type, as the loop before
         # _bisect: roots, ends that balance (the first two examples),
         # BracketError and, on STEP, AccuracyError.
-        # Deliberate difference: a bracket whose ends have reversed signs is
+        # Deliberate differences: a bracket whose ends have reversed signs is
         # no longer rejected; the log-difference is monotone increasing in
-        # beta (test below), so no bracket has them.
+        # beta (test below), so no bracket has them.  Where the oracle
+        # returns a beta on the underflow plateau, balance_scaling raises
+        # AccuracyError (test_underflow_plateau_raises); no draw lands there.
         bracket = (10.0 ** log_lo, 10.0 ** log_hi)
-        assert outcome(hs.balance_scaling, u, n_max, bracket) == \
-            outcome(oracle_balance_scaling, u, n_max, bracket)
+        want = outcome(oracle_balance_scaling, u, n_max, bracket)
+        if isinstance(want, str) and both_tails_zero(u, n_max, float(want)):
+            want = AccuracyError
+        assert outcome(hs.balance_scaling, u, n_max, bracket) == want
+
+    @pytest.mark.parametrize("n, bracket, old_beta", [
+        (2, (1e-3, 1e3), 3.90724609375),
+        (2, (1e-2, 1e2), 3.1346875),
+        (10, (1e-3, 1e3), 15.625984375),
+    ])
+    def test_underflow_plateau_raises(self, n, bracket, old_beta):
+        # Both tails are 0.0 at the beta the loop before this check returned,
+        # a bisection midpoint that moves with the bracket; that probe now
+        # raises, naming u, N and beta, with no achieved estimate.
+        u = hs.gaussian_power(n)
+        assert oracle_balance_scaling(u, 5000, bracket) == old_beta
+        assert both_tails_zero(u, 5000, old_beta)
+        with pytest.raises(AccuracyError) as info:
+            hs.balance_scaling(u, 5000, bracket)
+        assert info.value.achieved is None
+        assert str(info.value) == (f"gaussian_power({n}): spatial and frequency "
+                                   f"tails both underflow to 0 at N=5000, "
+                                   f"beta={old_beta:g}")
 
     @settings(max_examples=40, deadline=None)
     @given(u=FAMILIES, n_max=st.integers(0, 1024),
