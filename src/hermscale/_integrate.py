@@ -5,8 +5,8 @@ too slow when each evaluation synthesizes a truncated Hermite series (O(N)
 work per point).  The integrator here feeds whole batches of abscissae to a
 vectorized integrand and supports vector-valued integrands, so a full
 coefficient vector can be projected in one adaptive pass.  A vector
-integrand yields its components as rows, contracted a block at a time, and
-the panel heap holds one scalar error per panel, so memory stays
+integrand yields its components as rows or blocks, contracted a block at a
+time, and the panel heap holds one scalar error per panel, so memory stays
 O(panels + components) however many components there are.
 """
 
@@ -69,6 +69,7 @@ _WG[1::2] = [
 _WKG = np.stack([_WGK, _WG], axis=1)
 # Rows of a vector integrand contracted per product in _eval_panels: the
 # working set is _BLOCK_ROWS * 15 values per panel, whatever the row count.
+# Integrands that build their own blocks use this size to match rows bitwise.
 _BLOCK_ROWS = 16
 # Most panels bisected in one round of adaptive_quad.
 _ROUND_PANELS = 128
@@ -88,7 +89,7 @@ def _eval_panels(f, lo, hi, weight):
     lo, hi, weight: arrays of shape (p,).  The integrand is called once with
     all p*15 abscissae.  Returns (integral, error, worst): the sums over
     panels of weight * K and weight * |K - G| per component, scalars for a
-    scalar integrand and (d,) arrays for d rows, and each panel's largest
+    scalar integrand and (d,) arrays for d components, and each panel's largest
     |K - G| over the components, shape (p,).  A non-finite value makes the
     totals non-finite without a warning (an inf times a zero G7 weight is a
     NaN); the caller checks them before they are trusted.
@@ -101,11 +102,13 @@ def _eval_panels(f, lo, hi, weight):
         with np.errstate(invalid="ignore", over="ignore"):
             ik, err = _kronrod(y, half)
             return ik[0] @ weight, err[0] @ weight, err[0]
-    rows = iter(y)
+    items = iter((y,) if isinstance(y, np.ndarray) else y)
     integral, error, worst = [], [], np.zeros(lo.size)
-    while block := list(itertools.islice(rows, _BLOCK_ROWS)):
+    for block in items:
+        if np.ndim(block) == 1:  # a row: stacked with up to _BLOCK_ROWS - 1 more
+            block = np.array([block, *itertools.islice(items, _BLOCK_ROWS - 1)])
         with np.errstate(invalid="ignore", over="ignore"):
-            ik, err = _kronrod(np.array(block), half)
+            ik, err = _kronrod(block, half)
             integral.append(ik @ weight)
             error.append(err @ weight)
             np.maximum(worst, err.max(axis=0), out=worst)
@@ -117,9 +120,10 @@ def adaptive_quad(f, a, b, abs_tol=1e-12, rel_tol=1e-10, initial=16,
     """Integrate a vectorized integrand over [a, b] adaptively.
 
     f maps an array of abscissae (m,) to values (m,), giving a scalar result,
-    or to an iterable of d rows of shape (m,), real or complex, giving a (d,)
-    vector.  [a, b] starts as `initial` uniform panels.  Until every
-    component satisfies
+    or to d components, real or complex, giving a (d,) vector: an array
+    (d, m) or an iterable of rows (m,) or of blocks (b, m), each contracted
+    before the next is drawn.  [a, b] starts as `initial` uniform panels.
+    Until every component satisfies
 
         err_c <= max(abs_tol, rel_tol * |I_c|)
 

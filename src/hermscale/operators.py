@@ -19,8 +19,8 @@ from functools import cache
 
 import numpy as np
 
-from ._integrate import adaptive_quad
-from .basis import ScaledBasis, SpectralCoeffs, _hermite_rows, synthesize
+from ._integrate import _BLOCK_ROWS, adaptive_quad
+from .basis import ScaledBasis, SpectralCoeffs, _hermite_rows, _points, _series
 from .errors import AccuracyError, BracketError, DegenerateBalanceError
 from .fourier import TestFunction
 from .quadrature import CollocationGrid, analysis
@@ -67,7 +67,8 @@ def project(u: TestFunction, basis: ScaledBasis, tol: float = 1e-11) -> Spectral
     All N+1 coefficients are integrated in one adaptive pass over the window
     where the basis lives (outside it the integrand is below the tolerance
     budget regardless of u), each to absolute accuracy tol.  The integrand
-    streams the rows phi_n(x) * u(x), so the basis matrix is never built.
+    writes the rows phi_n(x) * u(x) into one reused block of _BLOCK_ROWS
+    rows, so the basis matrix is never built.
     """
     if tol < 1e-12:
         raise ValueError(f"tol must be >= 1e-12, got {tol}")
@@ -76,8 +77,13 @@ def project(u: TestFunction, basis: ScaledBasis, tol: float = 1e-11) -> Spectral
 
     def f(x):
         uv = u.eval_u(x)
-        return (root_beta * row * uv
-                for row in _hermite_rows(basis.beta * x, basis.n_max))
+        block = np.empty((_BLOCK_ROWS, x.size), dtype=np.result_type(uv, float))
+        rows = _hermite_rows(basis.beta * x, basis.n_max)
+        for start in range(0, basis.size, _BLOCK_ROWS):
+            part = block[:basis.size - start]
+            for out, row in zip(part, rows):
+                np.multiply(np.multiply(row, root_beta, out=out), uv, out=out)
+            yield part
 
     try:
         vals = adaptive_quad(f, -x_max, x_max, abs_tol=tol, rel_tol=0.0,
@@ -107,22 +113,37 @@ def residual_l2(u: TestFunction, coeffs: SpectralCoeffs) -> float:
     support window, plus u's own tail mass beyond it (where the synthesized
     part is negligible).
     """
-    x_max = support_radius(coeffs.basis)
+    return float(_residuals([u], [coeffs]))
+
+
+def _residuals(us, coeffs) -> np.ndarray:
+    """residual_l2 of each pair (us[j], coeffs[j]), all at one beta, in one
+    adaptive pass over the largest basis's window and one row recurrence.
+    Several pairs are integrated as one block, each component to its own
+    tolerance, so their last bits may differ from separate residual_l2
+    calls, which integrate a scalar."""
+    basis = max((cf.basis for cf in coeffs), key=lambda b: b.n_max)
+    x_max = support_radius(basis)
+    shape = (len(us),) if len(us) > 1 else ()
+    c = np.stack([np.pad(cf.values, (0, basis.size - cf.basis.size)) for cf in coeffs],
+                 axis=-1).reshape((basis.size,) + shape)
 
     def f(x):
-        r = u.eval_u(x) - synthesize(coeffs, x)
+        exact = us[0].eval_u(x) if not shape else np.array([u.eval_u(x) for u in us])
+        r = exact - np.sqrt(basis.beta) * _series(c, _points(x, basis.beta))
         return (r * r.conjugate()).real
 
     # Below the cancellation floor of u(x) - u_N(x) the integrand is pure
     # roundoff noise; refining past that scale cannot converge.
-    noise = 2e-14 * max(1.0, float(np.linalg.norm(coeffs.values)))
+    norms = np.reshape([np.linalg.norm(cf.values) for cf in coeffs], shape)
+    noise = 2e-14 * np.maximum(1.0, norms)
     floor = noise * noise * 2.0 * x_max
-    core = adaptive_quad(f, -x_max, x_max, abs_tol=max(1e-30, floor),
+    core = adaptive_quad(f, -x_max, x_max, abs_tol=np.maximum(1e-30, floor),
                          rel_tol=_RESIDUAL_REL_TOL,
-                         initial=max(32, 2 * coeffs.basis.n_max + 16),
+                         initial=max(32, 2 * basis.n_max + 16),
                          max_panels=40000, label="squared residual")
-    tail = u.spatial_tail(x_max)
-    return math.sqrt(max(core, 0.0) + tail * tail)
+    tails = np.reshape([u.spatial_tail(x_max) for u in us], shape)
+    return np.sqrt(np.maximum(core, 0.0) + tails * tails)
 
 
 def projection_error(u: TestFunction, basis: ScaledBasis) -> float:

@@ -11,14 +11,16 @@ from hypothesis import strategies as st
 from scipy.integrate import quad_vec
 
 import hermscale as hs
+from hermscale import basis as basis_module
 from hermscale import galerkin
 from hermscale.basis import (BETA_MAX, BETA_MIN, N_MAX_LIMIT, ScaledBasis,
-                             SpectralCoeffs, _hermite_rows)
+                             SpectralCoeffs, _hermite_rows, _series)
 from hermscale.operators import support_radius
 
 from conftest import gram_matrix_by_quadrature, numerical_fourier, oracle_hermite_rows
 
 PI_M4 = np.pi ** -0.25
+_SPLIT_FLOOR = basis_module._SPLIT_MIN_POINTS
 
 
 class TestHermiteFunctions:
@@ -246,6 +248,46 @@ class TestSynthesize:
         expected = coeffs.values @ hs.eval_scaled_basis(coeffs.basis, 0.4)
         assert abs(got - expected) <= 1e-13 * np.abs(coeffs.values).sum()
 
+    @settings(max_examples=40)
+    @given(n_max=st.integers(0, 300), extra=st.integers(0, 600),
+           under=st.integers(1, 300), columns=st.sampled_from([None, 2]),
+           complex_coeffs=st.booleans(), seed=st.integers(0, 2 ** 32 - 1))
+    def test_split_series_bitwise_equal_to_oracle(self, n_max, extra, under, columns,
+                                                  complex_coeffs, seed):
+        # A batch above the split floor with both seed classes interleaved:
+        # the two gathered passes must give the sums of one accumulation over
+        # the reference rows, bit for bit, for each column.
+        rng = np.random.default_rng(seed)
+        far = np.r_[rng.uniform(37.7, 60.0, under), rng.uniform(60.0, 4e9, under),
+                    [1e150, 3.7e19]] * rng.choice([-1.0, 1.0], 2 * under + 2)
+        x = rng.permutation(np.r_[rng.uniform(-37.0, 37.0, _SPLIT_FLOOR + extra), far])
+        shape = (n_max + 1,) if columns is None else (n_max + 1, columns)
+        c = rng.standard_normal(shape)
+        if complex_coeffs:
+            c = c + 1j * rng.standard_normal(shape)
+        got = _series(c, x)
+        for j, col in enumerate([c] if columns is None else c.T):
+            want = np.zeros(x.size, dtype=col.dtype)
+            for cn, row in zip(col, oracle_hermite_rows(x, n_max)):
+                want += cn * row
+            assert (got if columns is None else got[j]).tobytes() == want.tobytes()
+
+    @pytest.mark.parametrize("points, passes", [
+        (np.r_[np.linspace(-37.0, 37.0, _SPLIT_FLOOR), 40.0], 2),  # mixed, above
+        (np.r_[np.linspace(-37.0, 37.0, _SPLIT_FLOOR - 1), 40.0], 1),  # below
+        (np.linspace(-37.0, 37.0, 2 * _SPLIT_FLOOR), 1),  # all normal
+    ])
+    def test_split_floor(self, points, passes, monkeypatch):
+        calls = []
+
+        def counting(x, n_max):
+            calls.append(x.size)
+            return _hermite_rows(x, n_max)
+
+        monkeypatch.setattr(basis_module, "_hermite_rows", counting)
+        _series(np.ones(4), points)
+        assert len(calls) == passes and sum(calls) == points.size
+
     def test_memory_independent_of_truncation(self):
         # The full basis matrix here would be 1025 x 31000 doubles (254 MB).
         n = 1024
@@ -387,6 +429,21 @@ class TestGaussianCoefficients:
         # mass sits near n ~ (k**2 + s**2)/2, well inside N = 4000.
         total = np.sum(np.abs(hs.gaussian_coefficients(freq, shift, 4000)) ** 2)
         assert total == pytest.approx(np.sqrt(np.pi), rel=1e-13)
+
+    @settings(max_examples=100)
+    @given(st.floats(-80.0, 80.0), st.floats(-10.0, 10.0))
+    def test_parseval_at_matched_width(self, freq, shift):
+        # sum |c_n|**2 = ||exp(-(x-s)**2/2 + ikx)||**2 = sqrt(pi) at m = 1/2;
+        # the mass sits near n ~ (k**2 + s**2)/2 <= 3250, well inside N = 4000.
+        # Allowance: 1.5e-14 for the recurrence and the sum (the largest
+        # deviation where k**2 and s**2 are exact, over integer k and s in
+        # the box, is 1.47e-14), plus the seed's exponent L = (k**2 + s**2)/4,
+        # rounded once: k*k, s*s and their sum each carry 2**-53 relative, so
+        # L is off by up to 2L * 2**-53, the seed's factor exp(-L) by as much
+        # relative, and sum |c_n|**2, which scales as its square, by L * 2**-51.
+        total = np.sum(np.abs(hs.gaussian_coefficients(freq, shift, 4000)) ** 2)
+        allowance = 1.5e-14 + (freq ** 2 + shift ** 2) / 4.0 * 2.0 ** -51
+        assert abs(total - math.sqrt(math.pi)) <= allowance * math.sqrt(math.pi)
 
     @given(st.floats(-50.0, 50.0), st.floats(-10.0, 10.0), st.floats(0.0, 4.0),
            st.integers(0, 300))

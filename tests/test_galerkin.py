@@ -8,7 +8,7 @@ from scipy.integrate import quad
 from scipy.linalg import solveh_banded
 
 import hermscale as hs
-from hermscale import galerkin
+from hermscale import galerkin, operators
 from hermscale.basis import ScaledBasis
 from hermscale.fourier import DecayMeta, TestFunction
 from hermscale.quadrature import compute_grid
@@ -247,6 +247,36 @@ class TestSolutionError:
         assert math.sqrt(squared) == pytest.approx(1.6305, rel=1e-4)
         assert galerkin.solution_error(c, u)["h1"] == \
             pytest.approx(math.sqrt(squared), rel=1e-6)
+
+    def test_h1_residuals_share_one_pass(self, monkeypatch):
+        calls = []
+        original = operators.adaptive_quad
+
+        def counting(*args, **kwargs):
+            calls.append(kwargs["label"])
+            return original(*args, **kwargs)
+
+        monkeypatch.setattr(operators, "adaptive_quad", counting)
+        u = hs.algebraic(1.0)
+        c = galerkin.solve(galerkin.manufactured_problem(u, 1.0), ScaledBasis(32, 1.0),
+                           compute_grid(32))
+        galerkin.solution_error(c, u)
+        assert calls == ["squared residual"]
+
+    @pytest.mark.parametrize("name, n, beta", [("algebraic(1)", 48, 1.0),
+                                               ("gaussian(2,1)", 12, 1.3)])
+    def test_h1_pass_matches_separate_residuals(self, name, n, beta):
+        # One pass over the derivative basis's window against two passes,
+        # each over its own window: the same norms to within 1e-12.
+        u = hs.catalog_entry(name)
+        basis = ScaledBasis(n, beta)
+        c = hs.interpolate(u, basis, compute_grid(n))
+        l2 = hs.residual_l2(u, c)
+        dl2 = hs.residual_l2(u.derivative(), hs.differentiate(c))
+        err = galerkin.solution_error(c, u)
+        assert err["l2"] == pytest.approx(l2, rel=1e-12, abs=0.0)
+        assert err["h1"] == pytest.approx(math.sqrt(l2 * l2 + dl2 * dl2), rel=1e-12, abs=0.0)
+        assert galerkin.solution_error(c, u, include_h1=False)["l2"] == l2
 
     def test_requires_derivative(self):
         u = hs.algebraic(1.0)

@@ -37,6 +37,33 @@ class TestVectorIntegrand:
                              0.0, 2.0)
         assert vals == pytest.approx(2.0 * np.arange(d), rel=1e-15, abs=0.0)
 
+    @pytest.mark.parametrize("dtype", [float, complex])
+    def test_blocks_match_row_generator(self, dtype):
+        # Blocks of 16, 16 and 5 rows, all written into one reused buffer,
+        # give the row generator's result bit for bit: each block must be
+        # contracted before the next overwrites it.
+        size = _integrate._BLOCK_ROWS
+        d = 2 * size + 5
+        wave = (lambda t: np.exp(1j * t)) if dtype is complex else np.cos
+
+        def rows(x):
+            g = np.exp(-x * x)
+            return (g * wave(0.5 * j * x) for j in range(d))
+
+        def blocks(x):
+            buffer = np.empty((size, x.size), dtype=dtype)
+            g = np.exp(-x * x)
+            for start in range(0, d, size):
+                part = buffer[:d - start]
+                for j, out in enumerate(part, start):
+                    out[:] = g * wave(0.5 * j * x)
+                yield part
+
+        expect = adaptive_quad(rows, -6.0, 7.0, abs_tol=1e-13, rel_tol=0.0)
+        got = adaptive_quad(blocks, -6.0, 7.0, abs_tol=1e-13, rel_tol=0.0)
+        assert got.dtype == expect.dtype
+        assert got.tobytes() == expect.tobytes()
+
     def test_complex_rows(self):
         # int exp(-x**2/2 + i*k*x) dx = sqrt(2*pi) * exp(-k**2/2).
         ks = np.arange(5.0)
