@@ -40,14 +40,15 @@ _UNSCALE = 2.0 ** -_RESCALE_BITS
 _X_CLIP = 1e150
 # _series splits a batch by seed class from this many normal seeds on.  Best
 # of 7-15 calls, 2-vCPU Xeon: N = 1024, 30,960 points (20,348 normal), 89-104
-# ms split, 143-179 ms in one pass; N = 1000 at its 1,001 grid nodes (927
-# normal), 19-22 ms split, 16-18 ms in one pass.
+# ms split, 143-179 ms in one pass; public synthesis at N = 1000's 1,001 grid
+# nodes (927 normal; no sweep runs it), 19-22 ms split, 16-18 ms in one pass.
 _SPLIT_MIN_POINTS = 4096
 
 
 def _check_index(n_max, limit: int = N_MAX_LIMIT) -> int:
-    """n_max as an int, after checking that it is an integer in [0, limit]."""
-    if not isinstance(n_max, (int, np.integer)) or not 0 <= n_max <= limit:
+    """n_max as an int, after checking that it is a non-bool integer in [0, limit]."""
+    if (not isinstance(n_max, (int, np.integer)) or isinstance(n_max, bool)
+            or not 0 <= n_max <= limit):
         raise ValueError(f"n_max must be an integer in [0, {limit}], got {n_max}")
     return int(n_max)
 
@@ -60,7 +61,7 @@ class ScaledBasis:
     beta: float = 1.0
 
     def __post_init__(self):
-        _check_index(self.n_max)
+        object.__setattr__(self, "n_max", _check_index(self.n_max))
         if not BETA_MIN <= self.beta <= BETA_MAX:
             raise ValueError(f"beta={self.beta} at N={self.n_max} is outside "
                              f"[{BETA_MIN:g}, {BETA_MAX:g}]")

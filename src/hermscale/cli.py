@@ -176,9 +176,9 @@ def _measure_error(u: TestFunction, basis: ScaledBasis,
     if measure == "l2_projection":
         return projection_error(u, basis)
     grid = _grid(basis.n_max)
-    coeffs = galerkin.solve(problem, basis, grid)
     if measure == "l2_discrete":
-        return galerkin.discrete_solution_error(coeffs, u, grid)
+        return galerkin._discrete_point(problem, u, basis, grid)[1]
+    coeffs = galerkin.solve(problem, basis, grid)
     err = galerkin.solution_error(coeffs, u, include_h1=(measure == "h1_solution"))
     return err["h1"] if measure == "h1_solution" else err["l2"]
 

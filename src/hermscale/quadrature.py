@@ -136,9 +136,14 @@ def analysis(grid: CollocationGrid, values, beta: float = 1.0) -> SpectralCoeffs
     values = np.asarray(values)
     if values.shape != (grid.size,):
         raise ValueError(f"expected {grid.size} samples, got shape {values.shape}")
-    weighted = grid.weights * values
-    coeffs = np.array([row @ weighted for row in _hermite_rows(grid.nodes, grid.n_max)])
+    coeffs = _transform(grid, grid.weights * values)
     return SpectralCoeffs(ScaledBasis(grid.n_max, beta), coeffs / np.sqrt(beta))
+
+
+def _transform(grid: CollocationGrid, weighted: np.ndarray) -> np.ndarray:
+    """sum_j h_n(x_j) * weighted[j], n <= N, in one row stream; each column
+    of weighted samples of shape (size, k) is summed from the same row."""
+    return np.array([row @ weighted for row in _hermite_rows(grid.nodes, grid.n_max)])
 
 
 def synthesis(grid: CollocationGrid, coeffs: SpectralCoeffs) -> np.ndarray:

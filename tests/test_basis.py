@@ -199,6 +199,20 @@ class TestScaledBasis:
         with pytest.raises(ValueError):
             ScaledBasis(4, np.inf)
 
+    @pytest.mark.parametrize("flag", [True, False, np.True_, np.False_])
+    def test_bool_is_not_an_index(self, flag):
+        # One index guard serves every n_max check; True would otherwise
+        # build a basis of size 2.
+        for build in (lambda n: ScaledBasis(n, 1.0), hs.compute_grid,
+                      lambda n: hs.eval_hermite_functions(0.5, n),
+                      lambda n: hs.gaussian_coefficients(1.0, 0.0, n)):
+            with pytest.raises(ValueError):
+                build(flag)
+
+    def test_index_stored_as_int(self):
+        basis = ScaledBasis(np.int64(7), 1.0)
+        assert type(basis.n_max) is int and basis == ScaledBasis(7, 1.0)
+
     def test_beta_range(self):
         # Inside the range beta**2 * N and sqrt(N) / beta stay finite and normal.
         for beta in (BETA_MIN, BETA_MAX):

@@ -1,5 +1,6 @@
 import math
 
+import mpmath
 import numpy as np
 import pytest
 from hypothesis import example, given, settings
@@ -8,8 +9,9 @@ from scipy.integrate import quad
 from scipy.linalg import solveh_banded
 
 import hermscale as hs
-from hermscale import galerkin, operators
-from hermscale.basis import ScaledBasis
+from hermscale import basis as basis_module
+from hermscale import cli, galerkin, operators, quadrature
+from hermscale.basis import ScaledBasis, SpectralCoeffs
 from hermscale.fourier import DecayMeta, TestFunction
 from hermscale.quadrature import compute_grid
 
@@ -300,6 +302,129 @@ class TestSolutionError:
         full = galerkin.solution_error(c, u, include_h1=False)["l2"]
         disc = galerkin.discrete_solution_error(c, u, grid)
         assert full / 4.0 < disc < 4.0 * full
+
+
+# Catalog entries with a second derivative, so a manufactured problem exists.
+DISCRETE_IDS = ("algebraic(1)", "algebraic(2.5)", "plain_gaussian(0.6)",
+                "plain_gaussian(2)", "gaussian_power(1)", "gaussian_power(3)")
+
+
+def nodal_discrete_error(coeffs, u, grid):
+    """The grid norm as the nodal sum it is defined by: synthesis at the
+    scaled nodes, squared pointwise error, Hermite-Gauss weights."""
+    beta = coeffs.basis.beta
+    diff = u.eval_u(grid.scaled_nodes(beta)) - hs.synthesis(grid, coeffs)
+    return math.sqrt(float(np.sum(grid.weights * np.abs(diff) ** 2)) / beta)
+
+
+def parseval_tolerance(n, u, coeffs):
+    """Roundoff allowance between two routes to the grid norm at index n.
+
+    A row sum or a dot over N+1 terms is off by at most (N+1) eps times
+    the sum of its terms' sizes.  Cauchy-Schwarz with the unit weighted rows
+    (sum_j w_j h_n(x_j)**2 = 1, and sum_n h_n(x_j)**2 = 1/w_j) bounds each
+    coefficient's or node's error by (N+1) eps (||u|| + ||c||) and the
+    vector's by sqrt(N+1) times that; a factor 4 covers the two routes and
+    the evaluation of u, the rows and the weights.
+    """
+    return 4.0 * (n + 1) ** 1.5 * np.finfo(float).eps * (u.l2_norm + coeffs.norm)
+
+
+class TestDiscreteError:
+    @settings(max_examples=60, deadline=None)
+    @given(st.sampled_from(DISCRETE_IDS), st.integers(0, 256), st.floats(-1.0, 1.0))
+    @example("algebraic(1)", 0, -1.0)
+    @example("gaussian_power(3)", 256, 1.0)
+    def test_equals_nodal_sum(self, ident, n, log_beta):
+        # Discrete orthonormality makes the coefficient distance and the
+        # nodal sum one number in exact arithmetic.
+        u = hs.catalog_entry(ident)
+        grid = compute_grid(n)
+        c = galerkin.solve(galerkin.manufactured_problem(u, 1.0),
+                           ScaledBasis(n, 10.0 ** log_beta), grid)
+        got = galerkin.discrete_solution_error(c, u, grid)
+        assert abs(got - nodal_discrete_error(c, u, grid)) <= parseval_tolerance(n, u, c)
+
+    @pytest.mark.parametrize("ident, beta, u_mp", [
+        ("algebraic(1)", 0.8, lambda x: 1 / (1 + x * x)),
+        ("plain_gaussian(0.6)", 1.7, lambda x: mpmath.exp(-x * x / (2 * mpmath.mpf(0.36)))),
+    ])
+    @pytest.mark.parametrize("n", [0, 1, 6, 16])
+    def test_nodal_sum_at_30_digits(self, ident, beta, u_mp, n):
+        # The defining nodal sum at 30 digits, on roots of h_{N+1} refined
+        # in mpmath and weights 1 / sum_{m<=N} h_m(x)**2 computed there; the
+        # coefficients are taken as exact.
+        u = hs.catalog_entry(ident)
+        grid = compute_grid(n)
+        c = galerkin.solve(galerkin.manufactured_problem(u, 1.0), ScaledBasis(n, beta), grid)
+
+        def rows(x, m):
+            out = [mpmath.pi ** mpmath.mpf(-0.25) * mpmath.exp(-x * x / 2)]
+            prev = mpmath.mpf(0)
+            for k in range(m):
+                prev, cur = out[-1], (x * mpmath.sqrt(mpmath.mpf(2) / (k + 1)) * out[-1]
+                                      - mpmath.sqrt(mpmath.mpf(k) / (k + 1)) * prev)
+                out.append(cur)
+            return out
+
+        with mpmath.workdps(30):
+            b = mpmath.mpf(beta)
+            total = mpmath.mpf(0)
+            for x0 in grid.nodes:
+                x = mpmath.findroot(lambda t: rows(t, n + 1)[-1], mpmath.mpf(x0))
+                h = rows(x, n)
+                w = 1 / mpmath.fsum(v * v for v in h)
+                u_n = mpmath.sqrt(b) * mpmath.fsum(mpmath.mpf(cn) * v
+                                                   for cn, v in zip(c.values, h))
+                total += w * (u_mp(x / b) - u_n) ** 2
+            oracle = float(mpmath.sqrt(total / b))
+        got = galerkin.discrete_solution_error(c, u, grid)
+        assert abs(got - oracle) <= parseval_tolerance(n, u, c)
+
+    def test_size_mismatch(self):
+        u = hs.algebraic(1.0)
+        c = SpectralCoeffs(ScaledBasis(4, 1.0), np.ones(5))
+        with pytest.raises(ValueError):
+            galerkin.discrete_solution_error(c, u, compute_grid(5))
+
+    @pytest.mark.parametrize("ident, n, beta", [("algebraic(1)", 40, 1.0),
+                                                ("plain_gaussian(2)", 101, 0.4),
+                                                ("gaussian_power(3)", 200, 3.0)])
+    def test_point_matches_solve_and_error(self, ident, n, beta):
+        u = hs.catalog_entry(ident)
+        problem = galerkin.manufactured_problem(u, 1.0)
+        basis, grid = ScaledBasis(n, beta), compute_grid(n)
+        coeffs, error = galerkin._discrete_point(problem, u, basis, grid)
+        c = galerkin.solve(problem, basis, grid)
+        assert coeffs.basis == basis
+        assert np.abs(coeffs.values - c.values).max() <= parseval_tolerance(n, u, c)
+        assert abs(error - galerkin.discrete_solution_error(c, u, grid)) \
+            <= parseval_tolerance(n, u, c)
+
+    def test_point_checks_the_solve(self, monkeypatch):
+        u = hs.algebraic(1.0)
+        problem = galerkin.manufactured_problem(u, 1.0)
+        monkeypatch.setattr(galerkin, "_solve_tridiagonal_spd",
+                            lambda diag, off, rhs: 2.0 * rhs / diag)
+        with pytest.raises(RuntimeError, match="residual"):
+            galerkin._discrete_point(problem, u, ScaledBasis(16, 1.0), compute_grid(16))
+
+    def test_one_row_stream_per_point(self, monkeypatch):
+        config = cli.SweepConfig(function="algebraic(1)", n_values=(8, 24, 40, 64),
+                                 schedule="constant(2)", measure="l2_discrete")
+        cli.run_sweep(config)  # warms the grid memo: no grid is built below
+        streams = []
+
+        def counting(rows):
+            def wrapped(x, n_max):
+                streams.append(n_max)
+                return rows(x, n_max)
+            return wrapped
+
+        for module in (basis_module, quadrature, operators):
+            monkeypatch.setattr(module, "_hermite_rows", counting(module._hermite_rows))
+        cli.run_sweep(config)
+        assert streams == list(config.n_values)
 
 
 class TestCeaSanity:

@@ -156,6 +156,26 @@ class TestTransforms:
         back = hs.analysis(grid, values, 0.7)
         assert np.abs(back.values - c.values).max() < 1e-11
 
+    @pytest.mark.parametrize("n, beta, dtype", [(0, 1.0, float), (7, 0.3, float),
+                                                (64, 2.0, complex), (500, 1.0, float)])
+    def test_stacked_columns_match_single_analysis(self, n, beta, dtype):
+        # Both are sums of the same terms w_j v_j h_n(x_j), in two orders.
+        # Each differs from the exact sum by at most (N+1) eps sum_j |terms|,
+        # and Cauchy-Schwarz with sum_j w_j h_n(x_j)**2 = 1 bounds that sum
+        # by the weighted sample norm ||sqrt(w) v||.
+        grid = compute_grid(n)
+        rng = np.random.default_rng(n)
+        v = rng.standard_normal((n + 1, 2)).astype(dtype)
+        if dtype is complex:
+            v += 1j * rng.standard_normal((n + 1, 2))
+        stacked = quadrature._transform(grid, grid.weights[:, None] * v) / np.sqrt(beta)
+        assert stacked.shape == (n + 1, 2)
+        for k in range(2):
+            single = hs.analysis(grid, v[:, k], beta).values
+            norm = math.sqrt(np.sum(grid.weights * np.abs(v[:, k]) ** 2) / beta)
+            bound = 2 * (n + 1) * np.finfo(float).eps * norm
+            assert np.abs(stacked[:, k] - single).max() <= bound
+
     def test_synthesis_zero(self):
         grid = compute_grid(5)
         c = SpectralCoeffs(ScaledBasis(5, 1.0), np.zeros(6))
