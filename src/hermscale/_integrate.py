@@ -3,15 +3,15 @@
 scipy.integrate.quad evaluates integrands one abscissa at a time, which is
 too slow when each evaluation synthesizes a truncated Hermite series (O(N)
 work per point).  The integrator here feeds whole batches of abscissae to a
-vectorized integrand and supports vector-valued integrands, so a full
-coefficient vector can be projected in one adaptive pass.  A vector
-integrand yields its components as rows or blocks, contracted a block at a
-time, and the panel heap holds one scalar error per panel, so memory stays
-O(panels + components) however many components there are.
+vectorized integrand, which returns one array or yields several, each a
+block of components (a 1-d array is one component), so a full coefficient
+vector can be projected in one adaptive pass.  Each block is contracted
+before the next is drawn, and the panel heap holds one scalar error per
+panel, so memory stays O(panels + components) however many components there
+are.
 """
 
 import heapq
-import itertools
 
 import numpy as np
 
@@ -67,48 +67,33 @@ _WG[1::2] = [
 
 # Both rules side by side, so one product gives the K15 and G7 sums.
 _WKG = np.stack([_WGK, _WG], axis=1)
-# Rows of a vector integrand contracted per product in _eval_panels: the
-# working set is _BLOCK_ROWS * 15 values per panel, whatever the row count.
-# Integrands that build their own blocks use this size to match rows bitwise.
-_BLOCK_ROWS = 16
 # Most panels bisected in one round of adaptive_quad.
 _ROUND_PANELS = 128
-
-
-def _kronrod(values, half):
-    """Kronrod integrals and |K - G| estimates, each of shape (b, p), of
-    values of shape (b, p*15) on panels of half-widths `half`."""
-    kg = values.reshape(-1, 15) @ _WKG
-    ik = half * kg[:, 0].reshape(-1, half.size)
-    return ik, np.abs(ik - half * kg[:, 1].reshape(-1, half.size))
 
 
 def _eval_panels(f, lo, hi, weight):
     """Evaluate f on a batch of panels and fold them into running totals.
 
     lo, hi, weight: arrays of shape (p,).  The integrand is called once with
-    all p*15 abscissae.  Returns (integral, error, worst): the sums over
-    panels of weight * K and weight * |K - G| per component, scalars for a
-    scalar integrand and (d,) arrays for d components, and each panel's largest
-    |K - G| over the components, shape (p,).  A non-finite value makes the
-    totals non-finite without a warning (an inf times a zero G7 weight is a
-    NaN); the caller checks them before they are trusted.
+    all p*15 abscissae and returns one array or yields several; each is one
+    block of components, (b, p*15) or (p*15,) for a single component, and is
+    contracted before the next is drawn.  Returns (integral, error, worst):
+    the sums over panels of weight * K and weight * |K - G|, (d,) arrays over
+    all d components in order, and each panel's largest |K - G| over the
+    components, shape (p,).  A non-finite value makes the totals non-finite
+    without a warning (an inf times a zero G7 weight is a NaN); the caller
+    checks them before they are trusted.
     """
     mid = 0.5 * (lo + hi)
     half = 0.5 * (hi - lo)
     x = (mid[:, None] + half[:, None] * _XGK[None, :]).ravel()
     y = f(x)
-    if isinstance(y, np.ndarray) and y.ndim == 1:
-        with np.errstate(invalid="ignore", over="ignore"):
-            ik, err = _kronrod(y, half)
-            return ik[0] @ weight, err[0] @ weight, err[0]
-    items = iter((y,) if isinstance(y, np.ndarray) else y)
     integral, error, worst = [], [], np.zeros(lo.size)
-    for block in items:
-        if np.ndim(block) == 1:  # a row: stacked with up to _BLOCK_ROWS - 1 more
-            block = np.array([block, *itertools.islice(items, _BLOCK_ROWS - 1)])
+    for block in (y,) if isinstance(y, np.ndarray) else y:
         with np.errstate(invalid="ignore", over="ignore"):
-            ik, err = _kronrod(block, half)
+            kg = block.reshape(-1, 15) @ _WKG  # K15 and G7 sums, (b*p, 2)
+            ik = half * kg[:, 0].reshape(-1, lo.size)
+            err = np.abs(ik - half * kg[:, 1].reshape(-1, lo.size))
             integral.append(ik @ weight)
             error.append(err @ weight)
             np.maximum(worst, err.max(axis=0), out=worst)
@@ -119,10 +104,10 @@ def adaptive_quad(f, a, b, abs_tol=1e-12, rel_tol=1e-10, initial=16,
                   max_panels=20000, label="integrand"):
     """Integrate a vectorized integrand over [a, b] adaptively.
 
-    f maps an array of abscissae (m,) to values (m,), giving a scalar result,
-    or to d components, real or complex, giving a (d,) vector: an array
-    (d, m) or an iterable of rows (m,) or of blocks (b, m), each contracted
-    before the next is drawn.  [a, b] starts as `initial` uniform panels.
+    f maps an array of abscissae (m,) to d components, real or complex: one
+    array, or an iterable of arrays drawn one at a time, each a block (b, m)
+    of b components or a single component (m,).  The result is always a (d,)
+    array, (1,) for one component.  [a, b] starts as `initial` uniform panels.
     Until every component satisfies
 
         err_c <= max(abs_tol, rel_tol * |I_c|)
@@ -131,7 +116,7 @@ def adaptive_quad(f, a, b, abs_tol=1e-12, rel_tol=1e-10, initial=16,
     their errors cover the largest excess.  The heap keeps one error per
     panel; a bisected panel is evaluated again, with weight -1, in the same
     call as its two halves, which takes its share out of the totals.  Memory
-    is O(panels + d) beside one block of rows.
+    is O(panels + d) beside one block.
 
     Raises AccuracyError when `max_panels` panels are spent first, or when
     f returns a value that is not finite, at any round.
@@ -169,7 +154,7 @@ def adaptive_quad(f, a, b, abs_tol=1e-12, rel_tol=1e-10, initial=16,
         lo, hi = np.r_[p_lo, mid, p_lo], np.r_[mid, p_hi, p_hi]
         weight = np.repeat([1.0, 1.0, -1.0], p_lo.size)
 
-    what = f"{label}[{int(np.argmax(over))}]" if np.ndim(total) else label
+    what = f"{label}[{int(np.argmax(over))}]" if total.size > 1 else label
     raise AccuracyError(f"adaptive quadrature did not converge for {what}",
                         achieved=float(np.max(total_err)), value=total)
 

@@ -18,7 +18,7 @@ from typing import Callable, Iterator, Optional
 import numpy as np
 
 from . import galerkin
-from .basis import N_MAX_LIMIT, ScaledBasis
+from .basis import N_MAX_LIMIT, ScaledBasis, _check_index
 from .errors import AccuracyError, BracketError, HermscaleError
 from .fourier import TestFunction, _parse_call, catalog_entry
 from .operators import (ErrorBreakdown, _bisect, error_breakdown,
@@ -57,16 +57,14 @@ class SweepConfig:
     def __post_init__(self):
         object.__setattr__(self, "function", self.function.strip())
         object.__setattr__(self, "schedule", self.schedule.strip())
-        ns = tuple(int(n) for n in self.n_values)
+        if self.measure not in MEASURES:
+            raise ValueError(f"measure must be one of {MEASURES}, got {self.measure}")
+        limit = N_MAX_LIMIT if self.measure == "l2_projection" else N_MAX_GRID
+        ns = tuple(_check_index(n, limit) for n in self.n_values)
         if not ns or any(n < 2 for n in ns) or any(
                 b <= a for a, b in zip(ns, ns[1:])):
             raise ValueError("n_values must be strictly increasing integers >= 2")
         object.__setattr__(self, "n_values", ns)
-        if self.measure not in MEASURES:
-            raise ValueError(f"measure must be one of {MEASURES}, got {self.measure}")
-        limit = N_MAX_LIMIT if self.measure == "l2_projection" else N_MAX_GRID
-        if ns[-1] > limit:
-            raise ValueError(f"N={ns[-1]} exceeds the {self.measure} limit {limit}")
         if not (math.isfinite(self.gamma) and self.gamma > 0):
             raise ValueError(f"gamma must be positive and finite, got {self.gamma}")
         schedule = parse_schedule(self.schedule, catalog_entry(self.function))
@@ -279,13 +277,12 @@ def fit_order(records, model: str = "algebraic", floor: float = 0.0) -> FitResul
     return FitResult(rate=-slope, r2=r2)
 
 
-def locate_transition(function: str = "algebraic", h: float = 1.5,
-                      out=None) -> float:
-    """Root of the tail-balance function for the given catalog family."""
+def locate_transition(function: str = "algebraic", h: float = 1.5) -> float:
+    """Root of the tail-balance function for the given catalog family,
+    printed to stdout."""
     u = catalog_entry(f"{function}({h!r})")
     root = transition_point(u, (1.0, 200.0))
-    print(f"{u.id}: tail-balance root {root:.4f} (nearest integer {round(root)})",
-          file=out if out is not None else sys.stdout)
+    print(f"{u.id}: tail-balance root {root:.4f} (nearest integer {round(root)})")
     return root
 
 

@@ -126,7 +126,7 @@ def tail_norm(f: Callable, cutoff: float) -> float:
     # floor, taken at r**3 = 16, the Kronrod estimate measures roundoff.
     floor = max(1e-300, 32.0 * (1.0 + c) * 2.0 ** -1074 / s)
     return s * math.sqrt(2.0 * adaptive_quad(mapped, 0.0, 1.0, abs_tol=floor, rel_tol=1e-11,
-                                             label=f"tail from cutoff={cutoff}"))
+                                             label=f"tail from cutoff={cutoff}")[0])
 
 
 def _panel_tail(f: Callable, edges) -> float:
@@ -368,7 +368,7 @@ def gaussian_power(n: int) -> TestFunction:
     interpolation, whose square the same rule integrates exactly for the
     frequency tail; the spatial tail and the norm come from tail_norm.
     """
-    if not isinstance(n, (int, np.integer)) or n < 1:
+    if not isinstance(n, (int, np.integer)) or isinstance(n, bool) or n < 1:
         raise ValueError(f"gaussian_power requires a positive integer, got {n}")
     n = int(n)
     two_n = 2 * n

@@ -142,8 +142,8 @@ def _grid_error(a: np.ndarray, coeffs: SpectralCoeffs) -> float:
 def _discrete_point(problem, exact, basis, grid):
     """solve and discrete_solution_error from one two-column row stream."""
     x = grid.scaled_nodes(basis.beta)
-    weighted = grid.weights[:, None] * np.stack([problem.rhs.eval_u(x), exact.eval_u(x)], 1)
-    b, a = (_transform(grid, weighted) / np.sqrt(basis.beta)).T
+    samples = np.stack([problem.rhs.eval_u(x), exact.eval_u(x)], 1)
+    b, a = _transform(grid, samples, basis.beta).T
     coeffs = _solve(problem, basis, b)
     return coeffs, _grid_error(a, coeffs)
 

@@ -19,7 +19,7 @@ from functools import cache
 
 import numpy as np
 
-from ._integrate import _BLOCK_ROWS, adaptive_quad
+from ._integrate import adaptive_quad
 from .basis import ScaledBasis, SpectralCoeffs, _hermite_rows, _points, _series
 from .errors import AccuracyError, BracketError, DegenerateBalanceError
 from .fourier import TestFunction
@@ -34,6 +34,10 @@ _SUPPORT_PAD = 12.0  # unscaled units past phi_N's turning point: envelope < ~1e
 _RESIDUAL_REL_TOL = 1e-9  # of residual_l2's squared-residual integral
 _BALANCE_LOG_TOL = 1e-6  # balance_scaling's |log(spatial) - log(frequency)| stop
 _ROOT_WIDTH = 1e-3  # transition_point's final bracket width
+# Rows per block of project's integrand: the working set is _BLOCK_ROWS * 15
+# values per panel, whatever N.  The block size sets how the coefficients
+# are grouped in each contraction, so changing it changes their last bits.
+_BLOCK_ROWS = 16
 
 
 @dataclass(frozen=True)
@@ -113,36 +117,36 @@ def residual_l2(u: TestFunction, coeffs: SpectralCoeffs) -> float:
     support window, plus u's own tail mass beyond it (where the synthesized
     part is negligible).
     """
-    return float(_residuals([u], [coeffs]))
+    return float(_residuals([u], [coeffs])[0])
 
 
 def _residuals(us, coeffs) -> np.ndarray:
-    """residual_l2 of each pair (us[j], coeffs[j]), all at one beta, in one
-    adaptive pass over the largest basis's window and one row recurrence.
-    Several pairs are integrated as one block, each component to its own
-    tolerance, so their last bits may differ from separate residual_l2
-    calls, which integrate a scalar."""
+    """residual_l2 of each pair (us[j], coeffs[j]), all at one beta, as a
+    (d,) array: one adaptive pass over the largest basis's window and one row
+    recurrence, integrating the (d, m) block of squared residuals with each
+    component to its own tolerance.  The adaptive refinement serves all d
+    components, so with d > 1 the last bits may differ from separate
+    residual_l2 calls."""
     basis = max((cf.basis for cf in coeffs), key=lambda b: b.n_max)
     x_max = support_radius(basis)
-    shape = (len(us),) if len(us) > 1 else ()
     c = np.stack([np.pad(cf.values, (0, basis.size - cf.basis.size)) for cf in coeffs],
-                 axis=-1).reshape((basis.size,) + shape)
+                 axis=-1)
 
     def f(x):
-        exact = us[0].eval_u(x) if not shape else np.array([u.eval_u(x) for u in us])
+        exact = np.array([u.eval_u(x) for u in us])
         r = exact - np.sqrt(basis.beta) * _series(c, _points(x, basis.beta))
         return (r * r.conjugate()).real
 
     # Below the cancellation floor of u(x) - u_N(x) the integrand is pure
     # roundoff noise; refining past that scale cannot converge.
-    norms = np.reshape([np.linalg.norm(cf.values) for cf in coeffs], shape)
+    norms = np.array([np.linalg.norm(cf.values) for cf in coeffs])
     noise = 2e-14 * np.maximum(1.0, norms)
     floor = noise * noise * 2.0 * x_max
     core = adaptive_quad(f, -x_max, x_max, abs_tol=np.maximum(1e-30, floor),
                          rel_tol=_RESIDUAL_REL_TOL,
                          initial=max(32, 2 * basis.n_max + 16),
                          max_panels=40000, label="squared residual")
-    tails = np.reshape([u.spatial_tail(x_max) for u in us], shape)
+    tails = np.array([u.spatial_tail(x_max) for u in us])
     return np.sqrt(np.maximum(core, 0.0) + tails * tails)
 
 

@@ -136,14 +136,16 @@ def analysis(grid: CollocationGrid, values, beta: float = 1.0) -> SpectralCoeffs
     values = np.asarray(values)
     if values.shape != (grid.size,):
         raise ValueError(f"expected {grid.size} samples, got shape {values.shape}")
-    coeffs = _transform(grid, grid.weights * values)
-    return SpectralCoeffs(ScaledBasis(grid.n_max, beta), coeffs / np.sqrt(beta))
+    return SpectralCoeffs(ScaledBasis(grid.n_max, beta), _transform(grid, values, beta))
 
 
-def _transform(grid: CollocationGrid, weighted: np.ndarray) -> np.ndarray:
-    """sum_j h_n(x_j) * weighted[j], n <= N, in one row stream; each column
-    of weighted samples of shape (size, k) is summed from the same row."""
-    return np.array([row @ weighted for row in _hermite_rows(grid.nodes, grid.n_max)])
+def _transform(grid: CollocationGrid, values: np.ndarray, beta: float) -> np.ndarray:
+    """sum_j w_j * values[j] * h_n(x_j) / sqrt(beta), n <= N, in one row
+    stream: analysis of samples of shape (size,), or of each column of
+    samples of shape (size, k), every column summed from the same row."""
+    weighted = grid.weights.reshape((-1,) + (1,) * (values.ndim - 1)) * values
+    rows = _hermite_rows(grid.nodes, grid.n_max)
+    return np.array([row @ weighted for row in rows]) / np.sqrt(beta)
 
 
 def synthesis(grid: CollocationGrid, coeffs: SpectralCoeffs) -> np.ndarray:

@@ -104,6 +104,19 @@ class TestParsing:
             cli.SweepConfig(function="wat(1)", n_values=(4, 8),
                             schedule="constant(1)")
 
+    def test_sweep_config_n_must_be_integers(self):
+        make = lambda ns, m="l2_solution": cli.SweepConfig(
+            function="algebraic(1)", n_values=ns, schedule="constant(1)", measure=m)
+        for bad in ((2.7, 5.9), (True, 4), (4.0, 8), (4, 8.0), (np.float64(4), 8)):
+            with pytest.raises(ValueError):
+                make(bad)
+        with pytest.raises(ValueError):
+            make((4, N_MAX_GRID + 1))
+        make((4, N_MAX_GRID + 1), "l2_projection")
+        config = make((np.int64(4), np.int32(8)))
+        assert config.n_values == (4, 8)
+        assert all(type(n) is int for n in config.n_values)
+
     def test_config_round_trip(self):
         config = cli.SweepConfig(function="algebraic(1.5)",
                                  n_values=(8, 16, 32, 64),

@@ -508,6 +508,17 @@ class TestCatalog:
         with pytest.raises(ValueError):
             hs.gaussian_power(0)
 
+    def test_gaussian_power_index_type(self):
+        # A bool is not an index: True must not build gaussian_power(1).
+        for bad in (True, np.True_, False, 2.0):
+            with pytest.raises(ValueError):
+                hs.gaussian_power(bad)
+        two = hs.gaussian_power(np.int64(2))
+        assert two.id == hs.gaussian_power(2).id
+        x = np.linspace(-2.0, 2.0, 9)
+        assert np.array_equal(two.eval_u(x), np.exp(-x ** 4))
+        assert catalog_entry("gaussian_power(1)").id == hs.gaussian_power(1).id
+
     def test_algebraic_domain(self):
         # Above h = 30 the transform's K factor overflows near k = 0, so the
         # frequency tail would be inf (h ~ 30.6) or NaN (h = 40).

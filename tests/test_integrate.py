@@ -4,6 +4,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from hermscale import _integrate
 from hermscale._integrate import adaptive_quad
@@ -18,39 +20,65 @@ def moment_rows(x, d=6):
 
 class TestVectorIntegrand:
     def test_rows_match_scalar_calls(self):
+        # Each yielded 1-d row is a component of its own; a lone 1-d array
+        # is one component, returned as a (1,) array.
         vec = adaptive_quad(moment_rows, -3.0, 4.0, abs_tol=1e-13, rel_tol=0.0)
         assert vec.shape == (6,)
         for j in range(6):
             one = adaptive_quad(lambda x: x ** j * np.exp(-x * x), -3.0, 4.0,
                                 abs_tol=1e-13, rel_tol=0.0)
-            assert np.ndim(one) == 0
-            assert vec[j] == pytest.approx(one, rel=0.0, abs=1e-12)
+            assert one.shape == (1,)
+            assert vec[j] == pytest.approx(one[0], rel=0.0, abs=1e-12)
 
     def test_array_of_rows_matches_generator(self):
-        rows = adaptive_quad(lambda x: np.array(list(moment_rows(x))), -3.0, 4.0)
-        assert np.array_equal(rows, adaptive_quad(moment_rows, -3.0, 4.0))
+        # A returned array is one block, bitwise the same as yielding it;
+        # rows yielded one by one are contracted one by one, which may move
+        # the last bit.
+        array = adaptive_quad(lambda x: np.array(list(moment_rows(x))), -3.0, 4.0)
+        block = adaptive_quad(lambda x: iter([np.array(list(moment_rows(x)))]),
+                              -3.0, 4.0)
+        assert array.tobytes() == block.tobytes()
+        rows = adaptive_quad(moment_rows, -3.0, 4.0)
+        assert rows == pytest.approx(array, rel=0.0, abs=1e-15)
 
-    def test_many_rows_span_blocks(self):
-        # More rows than one contraction block: every block lands in place.
-        d = 3 * _integrate._BLOCK_ROWS + 5
-        vals = adaptive_quad(lambda x: (np.full_like(x, float(j)) for j in range(d)),
-                             0.0, 2.0)
-        assert vals == pytest.approx(2.0 * np.arange(d), rel=1e-15, abs=0.0)
+    @settings(max_examples=60, deadline=None)
+    @given(st.lists(st.integers(1, 20), min_size=1, max_size=12), st.booleans())
+    def test_many_rows_span_blocks(self, sizes, flat_singles):
+        # Components cos(j x), j < d <= 60, in blocks of 1-20 rows (a block
+        # of one row yielded either as (1, m) or as (m,)): every block lands
+        # in place, against int_0^2 cos(j x) dx = sin(2 j) / j.
+        starts = np.cumsum([0] + sizes)
+        d = int(min(starts[-1], 60))
+
+        def f(x):
+            for lo, hi in zip(starts[:-1], np.minimum(starts[1:], d)):
+                if lo >= d:
+                    return
+                block = np.cos(np.arange(lo, hi)[:, None] * x)
+                yield block[0] if flat_singles and hi - lo == 1 else block
+
+        vals = adaptive_quad(f, 0.0, 2.0, abs_tol=1e-13, rel_tol=0.0)
+        j = np.arange(1, d)
+        expect = np.r_[2.0, np.sin(2.0 * j) / j]
+        assert vals.shape == (d,)
+        assert np.abs(vals - expect).max() < 1e-12
 
     @pytest.mark.parametrize("dtype", [float, complex])
     def test_blocks_match_row_generator(self, dtype):
         # Blocks of 16, 16 and 5 rows, all written into one reused buffer,
-        # give the row generator's result bit for bit: each block must be
-        # contracted before the next overwrites it.
-        size = _integrate._BLOCK_ROWS
+        # give the result of freshly allocated blocks of the same sizes bit
+        # for bit: each block must be contracted before the next overwrites it.
+        size = 16
         d = 2 * size + 5
         wave = (lambda t: np.exp(1j * t)) if dtype is complex else np.cos
 
-        def rows(x):
+        def fresh(x):
             g = np.exp(-x * x)
-            return (g * wave(0.5 * j * x) for j in range(d))
+            for start in range(0, d, size):
+                yield np.array([g * wave(0.5 * j * x)
+                                for j in range(start, min(start + size, d))])
 
-        def blocks(x):
+        def reused(x):
             buffer = np.empty((size, x.size), dtype=dtype)
             g = np.exp(-x * x)
             for start in range(0, d, size):
@@ -59,8 +87,8 @@ class TestVectorIntegrand:
                     out[:] = g * wave(0.5 * j * x)
                 yield part
 
-        expect = adaptive_quad(rows, -6.0, 7.0, abs_tol=1e-13, rel_tol=0.0)
-        got = adaptive_quad(blocks, -6.0, 7.0, abs_tol=1e-13, rel_tol=0.0)
+        expect = adaptive_quad(fresh, -6.0, 7.0, abs_tol=1e-13, rel_tol=0.0)
+        got = adaptive_quad(reused, -6.0, 7.0, abs_tol=1e-13, rel_tol=0.0)
         assert got.dtype == expect.dtype
         assert got.tobytes() == expect.tobytes()
 
@@ -98,7 +126,10 @@ class TestBudget:
                           initial=16, max_panels=300)
         exc = info.value
         assert exc.achieved > 1e-14 and math.isfinite(exc.achieved)
-        assert np.shape(exc.value) == ((2,) if vector else ())
+        assert np.shape(exc.value) == ((2,) if vector else (1,))
+        # One component keeps the bare label; several name the worst one.
+        what = "integrand[1]" if vector else "integrand ("
+        assert f"did not converge for {what}" in str(exc)
         assert np.all(np.isfinite(exc.value))
         # Every bisection adds one panel; the budget is never overrun.
         assert sum(seen) == 300

@@ -37,13 +37,15 @@ def analytic_gaussian_tail(freq, shift, n_max, terms=400):
 
 def oracle_project(u, basis, tol=1e-11):
     """project's coefficients as they stood with a row-generator integrand:
-    a fresh array per row, stacked by adaptive_quad."""
+    a fresh array per row, stacked 16 rows to a fresh block."""
     x_max = support_radius(basis)
     root_beta = math.sqrt(basis.beta)
 
     def f(x):
         uv = u.eval_u(x)
-        return (root_beta * row * uv for row in _hermite_rows(basis.beta * x, basis.n_max))
+        rows = (root_beta * row * uv for row in _hermite_rows(basis.beta * x, basis.n_max))
+        for start in range(0, basis.size, 16):
+            yield np.array([next(rows) for _ in range(min(16, basis.size - start))])
 
     return adaptive_quad(f, -x_max, x_max, abs_tol=tol, rel_tol=0.0,
                          initial=max(32, basis.n_max + 16), max_panels=40000)

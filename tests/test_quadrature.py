@@ -168,7 +168,7 @@ class TestTransforms:
         v = rng.standard_normal((n + 1, 2)).astype(dtype)
         if dtype is complex:
             v += 1j * rng.standard_normal((n + 1, 2))
-        stacked = quadrature._transform(grid, grid.weights[:, None] * v) / np.sqrt(beta)
+        stacked = quadrature._transform(grid, v, beta)
         assert stacked.shape == (n + 1, 2)
         for k in range(2):
             single = hs.analysis(grid, v[:, k], beta).values
