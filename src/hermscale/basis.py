@@ -38,10 +38,11 @@ _UNSCALE = 2.0 ** -_RESCALE_BITS
 # Every h_n, n <= N_MAX_LIMIT, underflows to 0 beyond |x| ~ 1e3; clipping x
 # to +-_X_CLIP keeps x*x finite.
 _X_CLIP = 1e150
-# _series splits a batch by seed class from this many normal seeds on.  Best
-# of 7-15 calls, 2-vCPU Xeon: N = 1024, 30,960 points (20,348 normal), 89-104
-# ms split, 143-179 ms in one pass; public synthesis at N = 1000's 1,001 grid
-# nodes (927 normal; no sweep runs it), 19-22 ms split, 16-18 ms in one pass.
+# _series splits a batch by seed class from this many normal seeds on.  Best of
+# 9 calls, 2-vCPU Xeon, split / one pass: N = 1024, 15,480 points (10,174
+# normal), 57-59 / 62-63 ms; N = 512, 7,800 points (6,668 normal), 14-15 / 16-17
+# ms, with two columns 25 / 23 ms; synthesis at N = 1000's 1,001 grid nodes (927
+# normal; no sweep runs it), 12-13 / 9.5 ms.
 _SPLIT_MIN_POINTS = 4096
 
 
@@ -197,25 +198,26 @@ def synthesize(coeffs: SpectralCoeffs, x) -> np.ndarray:
     """
     beta = coeffs.basis.beta
     bx = _points(x, beta)
-    return (np.sqrt(beta) * _series(coeffs.values, bx.ravel())).reshape(bx.shape)
+    return (np.sqrt(beta) * _series(coeffs.values, bx.ravel()).sum(axis=0)).reshape(bx.shape)
 
 
 def _series(c: np.ndarray, x: np.ndarray) -> np.ndarray:
     """sum_n c[n] * h_n(x) at a 1-d array x over streamed rows, one sum per
-    column of a 2-d c.  A large batch with normal and underflowing seeds
-    runs as two gathered passes, so the normal points skip the rescaled
+    column of a 2-d c, as its even- and odd-index parts stacked on a new first
+    axis: by h_n(-x) = (-1)**n h_n(x), their sum is the series at x and their
+    difference the series at -x.  A large batch with normal and underflowing
+    seeds runs as two gathered passes, so the normal points skip the rescaled
     arithmetic; each value depends on its own point only, bit for bit."""
     normal = _PI_M4 * np.exp(-0.5 * x * x) >= np.finfo(float).tiny
+    acc = np.zeros((2,) + c.shape[1:] + x.shape, dtype=np.result_type(c, float))
     if _SPLIT_MIN_POINTS <= np.count_nonzero(normal) < x.size:
-        out = np.empty(c.shape[1:] + x.shape, dtype=np.result_type(c, float))
-        out[..., normal] = _series(c, x[normal])
-        out[..., ~normal] = _series(c, x[~normal])
-        return out
-    acc = np.zeros(c.shape[1:] + x.shape, dtype=np.result_type(c, float))
-    term = np.empty_like(acc)
+        acc[..., normal] = _series(c, x[normal])
+        acc[..., ~normal] = _series(c, x[~normal])
+        return acc
+    term = np.empty_like(acc[0])
     rows = _hermite_rows(x, len(c) - 1)
-    for cn, row in zip(c if c.ndim == 1 else c[:, :, None], rows):
-        acc += np.multiply(cn, row, out=term)
+    for n, (cn, row) in enumerate(zip(c if c.ndim == 1 else c[:, :, None], rows)):
+        acc[n % 2] += np.multiply(cn, row, out=term)
     return acc
 
 

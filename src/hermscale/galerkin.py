@@ -155,7 +155,8 @@ def solution_error(coeffs: SpectralCoeffs, exact: TestFunction,
     The H1 part measures the discrete derivative (the coefficient derivative
     map) against the entry exact.derivative().  Both residuals then come
     from one adaptive pass over the derivative basis's window, so "l2" may
-    differ in its last bits from the include_h1=False value.
+    differ in its last bits from the include_h1=False value.  Like residual_l2,
+    the pass is folded onto x >= 0 by parity, h_n(-x) = (-1)**n h_n(x).
     """
     if not include_h1:
         return {"l2": residual_l2(exact, coeffs), "h1": None}

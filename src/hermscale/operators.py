@@ -70,9 +70,11 @@ def project(u: TestFunction, basis: ScaledBasis, tol: float = 1e-11) -> Spectral
 
     All N+1 coefficients are integrated in one adaptive pass over the window
     where the basis lives (outside it the integrand is below the tolerance
-    budget regardless of u), each to absolute accuracy tol.  The integrand
-    writes the rows phi_n(x) * u(x) into one reused block of _BLOCK_ROWS
-    rows, so the basis matrix is never built.
+    budget regardless of u), each to absolute accuracy tol.  By parity,
+    phi_n(-x) = (-1)**n phi_n(x), the window folds onto x >= 0, where row n is
+    phi_n(x) * (u(x) + (-1)**n u(-x)) for any u; the integrand writes these
+    rows into one reused block of _BLOCK_ROWS rows, so the basis matrix is
+    never built.
     """
     if tol < 1e-12:
         raise ValueError(f"tol must be >= 1e-12, got {tol}")
@@ -80,18 +82,20 @@ def project(u: TestFunction, basis: ScaledBasis, tol: float = 1e-11) -> Spectral
     root_beta = math.sqrt(basis.beta)
 
     def f(x):
-        uv = u.eval_u(x)
-        block = np.empty((_BLOCK_ROWS, x.size), dtype=np.result_type(uv, float))
+        ux, u_x = u.eval_u(x), u.eval_u(-x)
+        sums = (ux + u_x, ux - u_x)  # row n takes sums[n % 2]
+        block = np.empty((_BLOCK_ROWS, x.size), dtype=np.result_type(ux, float))
         rows = _hermite_rows(basis.beta * x, basis.n_max)
         for start in range(0, basis.size, _BLOCK_ROWS):
             part = block[:basis.size - start]
-            for out, row in zip(part, rows):
-                np.multiply(np.multiply(row, root_beta, out=out), uv, out=out)
+            for n, (out, row) in enumerate(zip(part, rows), start):
+                np.multiply(np.multiply(row, root_beta, out=out), sums[n % 2], out=out)
             yield part
 
     try:
-        vals = adaptive_quad(f, -x_max, x_max, abs_tol=tol, rel_tol=0.0,
-                             initial=max(32, basis.n_max + 16),
+        # Panels as wide as max(32, N + 16) of them across the whole window.
+        vals = adaptive_quad(f, 0.0, x_max, abs_tol=tol, rel_tol=0.0,
+                             initial=(max(32, basis.n_max + 16) + 1) // 2,
                              max_panels=40000, label="projection coefficient")
     except AccuracyError as exc:
         raise AccuracyError(
@@ -114,8 +118,8 @@ def residual_l2(u: TestFunction, coeffs: SpectralCoeffs) -> float:
     """|| u - (function represented by coeffs) || in L2.
 
     Adaptive quadrature of the squared pointwise residual over the basis
-    support window, plus u's own tail mass beyond it (where the synthesized
-    part is negligible).
+    support window, folded onto its half x >= 0 (see _residuals), plus u's
+    own tail mass beyond it (where the synthesized part is negligible).
     """
     return float(_residuals([u], [coeffs])[0])
 
@@ -126,25 +130,30 @@ def _residuals(us, coeffs) -> np.ndarray:
     recurrence, integrating the (d, m) block of squared residuals with each
     component to its own tolerance.  The adaptive refinement serves all d
     components, so with d > 1 the last bits may differ from separate
-    residual_l2 calls."""
+    residual_l2 calls.  The window is folded onto x >= 0: the integrand is
+    r(x)**2 + r(-x)**2, with u_N(+-x) = S_even(x) +- S_odd(x) by parity."""
     basis = max((cf.basis for cf in coeffs), key=lambda b: b.n_max)
     x_max = support_radius(basis)
-    c = np.stack([np.pad(cf.values, (0, basis.size - cf.basis.size)) for cf in coeffs],
-                 axis=-1)
+    # sqrt(beta) goes into c, once: rounding there is a smooth change of u_N,
+    # not noise at each point for the error estimate to count near the floor.
+    c = np.sqrt(basis.beta) * np.stack(
+        [np.pad(cf.values, (0, basis.size - cf.basis.size)) for cf in coeffs], axis=-1)
 
     def f(x):
-        exact = np.array([u.eval_u(x) for u in us])
-        r = exact - np.sqrt(basis.beta) * _series(c, _points(x, basis.beta))
-        return (r * r.conjugate()).real
+        even, odd = _series(c, _points(x, basis.beta))
+        exact = np.array([[u.eval_u(side) for u in us] for side in (x, -x)])
+        r = exact - np.stack([even + odd, even - odd])
+        return (r * r.conjugate()).real.sum(axis=0)
 
     # Below the cancellation floor of u(x) - u_N(x) the integrand is pure
-    # roundoff noise; refining past that scale cannot converge.
+    # roundoff noise; refining past that scale cannot converge.  Folded or
+    # not, the integral is over the whole line, so the floor spans 2 * x_max.
     norms = np.array([np.linalg.norm(cf.values) for cf in coeffs])
     noise = 2e-14 * np.maximum(1.0, norms)
     floor = noise * noise * 2.0 * x_max
-    core = adaptive_quad(f, -x_max, x_max, abs_tol=np.maximum(1e-30, floor),
+    core = adaptive_quad(f, 0.0, x_max, abs_tol=np.maximum(1e-30, floor),
                          rel_tol=_RESIDUAL_REL_TOL,
-                         initial=max(32, 2 * basis.n_max + 16),
+                         initial=max(16, basis.n_max + 8),
                          max_panels=40000, label="squared residual")
     tails = np.array([u.spatial_tail(x_max) for u in us])
     return np.sqrt(np.maximum(core, 0.0) + tails * tails)

@@ -154,4 +154,4 @@ def synthesis(grid: CollocationGrid, coeffs: SpectralCoeffs) -> np.ndarray:
     if coeffs.basis.n_max != grid.n_max:
         raise ValueError(f"coefficient size {coeffs.basis.size} does not match "
                          f"grid size {grid.size}")
-    return np.sqrt(coeffs.basis.beta) * _series(coeffs.values, grid.nodes)
+    return np.sqrt(coeffs.basis.beta) * _series(coeffs.values, grid.nodes).sum(axis=0)

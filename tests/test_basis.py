@@ -269,8 +269,9 @@ class TestSynthesize:
     def test_split_series_bitwise_equal_to_oracle(self, n_max, extra, under, columns,
                                                   complex_coeffs, seed):
         # A batch above the split floor with both seed classes interleaved:
-        # the two gathered passes must give the sums of one accumulation over
-        # the reference rows, bit for bit, for each column.
+        # the two gathered passes must give the even- and odd-index sums of
+        # one accumulation by parity over the reference rows, bit for bit,
+        # for each column.
         rng = np.random.default_rng(seed)
         far = np.r_[rng.uniform(37.7, 60.0, under), rng.uniform(60.0, 4e9, under),
                     [1e150, 3.7e19]] * rng.choice([-1.0, 1.0], 2 * under + 2)
@@ -281,10 +282,10 @@ class TestSynthesize:
             c = c + 1j * rng.standard_normal(shape)
         got = _series(c, x)
         for j, col in enumerate([c] if columns is None else c.T):
-            want = np.zeros(x.size, dtype=col.dtype)
-            for cn, row in zip(col, oracle_hermite_rows(x, n_max)):
-                want += cn * row
-            assert (got if columns is None else got[j]).tobytes() == want.tobytes()
+            want = np.zeros((2, x.size), dtype=col.dtype)
+            for n, (cn, row) in enumerate(zip(col, oracle_hermite_rows(x, n_max))):
+                want[n % 2] += cn * row
+            assert (got if columns is None else got[:, j]).tobytes() == want.tobytes()
 
     @pytest.mark.parametrize("points, passes", [
         (np.r_[np.linspace(-37.0, 37.0, _SPLIT_FLOOR), 40.0], 2),  # mixed, above
