@@ -11,9 +11,11 @@ two tail norms
     spatial_tail(M)   = || u * 1_{|x|>M} ||,
     frequency_tail(K) = || F[u] * 1_{|k|>K} ||,
 
-its L2 norm, and decay metadata.  Entries are immutable; anything memoized
-(the e^{-x^{2n}} transform samples) is precomputed at construction, so
-concurrent reads are safe.
+its L2 norm, and decay metadata.  Entries are immutable.  The e^{-x^{2n}}
+transform samples are taken at construction; algebraic(h)'s frequency-tail
+panel integrals are memoised lazily, per h and block of panels, in a bounded
+module-level cache.  Concurrent reads are safe: the worst race builds one
+block twice, with identical values.
 """
 
 from __future__ import annotations
@@ -129,13 +131,39 @@ def tail_norm(f: Callable, cutoff: float) -> float:
                                              label=f"tail from cutoff={cutoff}")[0])
 
 
-def _panel_tail(f: Callable, edges) -> float:
-    """(2 * integral f(k)**2 dk)**(1/2) for a real f that takes arrays, over
-    the panels between sorted edges, by 16-point Gauss-Legendre on each."""
+# f is scaled by 2**450 before it is squared and the root scaled back: exact,
+# and squares stay normal down to |f| ~ 5e-290 (unscaled, below 1e-154: from
+# k ~ 366 for algebraic(h)), while |f| <= 4e15 (algebraic(h) as h -> 1/2)
+# still squares below overflow.
+_TAIL_SCALE = 2.0 ** 450
+
+
+def _panel_squares(f: Callable, edges) -> np.ndarray:
+    """Weighted (f(k) * _TAIL_SCALE)**2 at the 16 Gauss-Legendre nodes of each
+    panel between sorted edges, one row per panel, for a real f that takes
+    arrays: the rows sum to the integral of the scaled square."""
     nodes, weights = _GL16
     half = 0.5 * np.diff(edges)[:, None]
     k = edges[:-1, None] + half * (1.0 + nodes)
-    return math.sqrt(2.0 * np.sum(half * weights * f(k) ** 2))
+    return half * weights * (f(k) * _TAIL_SCALE) ** 2
+
+
+# Fixed panel edges of algebraic(h)'s frequency tail: 4**-20, ..., 1/4, 1
+# graded toward 0, then 2, 3, ...; panel i runs from edge i to edge i + 1.
+_GRADE = np.ldexp(1.0, np.arange(-40, 1, 2))
+
+
+# A block is 32 panel integrals (about 0.5 KB with its key); 15 blocks hold
+# every cutoff to 350 of one h.
+@lru_cache(maxsize=128)
+def _algebraic_panels(h: float, block: int) -> np.ndarray:
+    """Panels 32*block .. 32*block + 31 of algebraic(h)'s frequency tail, each
+    the integral of its scaled square (read-only)."""
+    i = np.arange(32 * block, 32 * block + 33)
+    edges = np.where(i < 21, _GRADE[np.minimum(i, 20)], i - 19.0)
+    out = _panel_squares(partial(algebraic_transform, h), edges).sum(axis=1)
+    out.flags.writeable = False
+    return out
 
 
 # ---------------------------------------------------------------------------
@@ -337,10 +365,19 @@ def algebraic(h: float) -> TestFunction:
         frequency = lambda k: _SQRT_HALF_PI * math.exp(-_cutoff(k))
     else:
         def frequency(kc):
-            # Gauss-Legendre panels: unit ones to kc + 25 + 2h, below 1 graded toward 0.
-            grade = 0.25 ** np.arange(20.0, -1.0, -1.0)
-            edges = np.unique(np.r_[_cutoff(kc), grade[grade > kc], kc + np.arange(1, 26 + 2 * h)])
-            return _panel_tail(partial(algebraic_transform, h), edges)
+            # A head panel from kc to the next fixed edge, then the memoised
+            # panels up to the first edge at or above kc + 25 + 2h.  F is
+            # decreasing, so a head that squares to 0 leaves a tail of 0.
+            kc = _cutoff(kc)
+            first = math.floor(kc) + 20 if kc >= 1.0 else int(np.searchsorted(_GRADE, kc, "right"))
+            edge = first - 19.0 if first > 20 else _GRADE[first]
+            head = _panel_squares(partial(algebraic_transform, h), np.array([kc, edge]))[0]
+            if not head.any():
+                return 0.0
+            top = math.ceil(kc + 25.0 + 2.0 * h) + 19
+            parts = [_algebraic_panels(h, b)[max(first - 32 * b, 0):top - 32 * b]
+                     for b in range(first // 32, (top - 1) // 32 + 1)]
+            return math.sqrt(2.0 * math.fsum(np.concatenate([head, *parts]))) / _TAIL_SCALE
 
     def deriv():
         return _derived_entry(
@@ -423,7 +460,8 @@ def gaussian_power(n: int) -> TestFunction:
         def frequency(kc):
             if _cutoff(kc) >= k_max:
                 return 0.0
-            return _panel_tail(fu, np.r_[kc, np.arange(math.floor(kc) + 1, k_max + 1)])
+            squares = _panel_squares(fu, np.r_[kc, np.arange(math.floor(kc) + 1, k_max + 1)])
+            return math.sqrt(2.0 * np.sum(squares)) / _TAIL_SCALE
 
         spatial = None  # tail_norm of u, and the norm from it
 

@@ -34,23 +34,40 @@ def derivative_chain(u):
 
 
 def algebraic_frequency_tail_by_quad(h, kc):
-    """||F[u] 1_{|k|>kc}|| for u = (1+x**2)**(-h) from scipy's kv and quad.
+    """||F[u] 1_{|k|>kc}|| for u = (1+x**2)**(-h) from scipy's kve and quad.
 
     Pieces graded by decades from kc (or 0) up to 1 and unit pieces up to
     kc + 60, each integrated to 1e-13 relative: an independent code path.
+    The integrand is e**kc * F[u], from kve = e**k * kv, and the result is
+    scaled back by e**-kc, so squares far into the tail stay normal.
     """
     nu = h - 0.5
     scale = 2.0 ** (1.0 - h) / math.gamma(h)
     at_zero = math.gamma(nu) / (math.sqrt(2.0) * math.gamma(h))
 
     def f2(k):
-        return at_zero ** 2 if k == 0.0 else (scale * k ** nu * scipy.special.kv(nu, k)) ** 2
+        if k == 0.0:
+            return at_zero ** 2
+        return (scale * k ** nu * scipy.special.kve(nu, k) * math.exp(kc - k)) ** 2
 
     edges = sorted({kc} | {10.0 ** -j for j in range(17) if 10.0 ** -j > kc}
                    | {kc + j for j in range(1, 61)})
     total = sum(quad(f2, a, b, epsabs=0.0, epsrel=1e-13, limit=200, full_output=1)[0]
                 for a, b in zip(edges, edges[1:]))
-    return math.sqrt(2.0 * total)
+    return math.sqrt(2.0 * total) * math.exp(-kc)
+
+
+def algebraic_frequency_tail_by_window(h, kc):
+    """||F[u] 1_{|k|>kc}|| for u = (1+x**2)**(-h), summed over a window of
+    its own for each cutoff: 16-point Gauss-Legendre on the panels between kc,
+    the points 4**-j > kc and kc + 1, ..., kc + 25 + 2h (the sum each call
+    made before panels were memoised)."""
+    grade = 0.25 ** np.arange(20.0, -1.0, -1.0)
+    edges = np.unique(np.r_[kc, grade[grade > kc], kc + np.arange(1, 26 + 2 * h)])
+    nodes, weights = np.polynomial.legendre.leggauss(16)
+    half = 0.5 * np.diff(edges)[:, None]
+    k = edges[:-1, None] + half * (1.0 + nodes)
+    return math.sqrt(2.0 * np.sum(half * weights * fourier.algebraic_transform(h, k) ** 2))
 
 
 def gaussian_power_transform_by_series(n, k):
@@ -302,9 +319,75 @@ class TestAlgebraicTails:
     @pytest.mark.parametrize("h", [0.55, 0.75, 1.5, 2.0, 2.5, 3.0, 3.7])
     def test_frequency_tail_against_kv_quadrature(self, h):
         u = hs.algebraic(h)
-        for kc in (0.0, 1e-6, 0.05, 0.5, 1.0, 5.0, 22.0, 30.0, 60.0, 200.0):
+        for kc in (0.0, 1e-6, 0.05, 0.5, 1.0, 5.0, 22.0, 30.0, 60.0, 200.0, 300.0, 350.0):
             expect = algebraic_frequency_tail_by_quad(h, kc)
             assert u.frequency_tail(kc) == pytest.approx(expect, rel=1e-12, abs=0.0), kc
+
+    @pytest.mark.parametrize("h", [0.55, 2.0, 3.7, 12.0])
+    def test_frequency_tail_beyond_subnormal_squares(self, h):
+        # Unscaled, F**2 of algebraic(2) is subnormal from kc ~ 366 on: the
+        # tail loses its digits there and is 0 from kc ~ 380.
+        u = hs.algebraic(h)
+        for kc in (366.0, 370.0, 380.0, 420.0):
+            expect = algebraic_frequency_tail_by_quad(h, kc)
+            assert u.frequency_tail(kc) == pytest.approx(expect, rel=1e-12, abs=0.0), kc
+
+    @pytest.mark.parametrize("h", [0.55, 2.0, 30.0])
+    def test_vanished_transform_gives_zero_and_builds_nothing(self, h):
+        u = hs.algebraic(h)
+        before = fourier._algebraic_panels.cache_info()
+        for kc in (2000.0, 1e6, 2.0 ** 53 + 2.0, 1e300):
+            assert u.frequency_tail(kc) == 0.0, kc
+        after = fourier._algebraic_panels.cache_info()
+        assert (after.misses, after.currsize) == (before.misses, before.currsize)
+
+    @settings(max_examples=100)
+    @given(st.floats(0.5, 30.0, exclude_min=True), st.floats(0.0, 350.0))
+    @example(h=2.0, kc=0.0)
+    @example(h=0.5000001, kc=0.25)
+    @example(h=30.0, kc=350.0)
+    def test_memoised_panels_match_per_call_window(self, h, kc):
+        expect = algebraic_frequency_tail_by_window(h, kc)
+        assert hs.algebraic(h).frequency_tail(kc) == pytest.approx(expect, rel=1e-13, abs=0.0)
+
+    @pytest.mark.parametrize("h", [0.75, 2.5, 17.0])
+    def test_value_independent_of_call_history(self, h):
+        u = hs.algebraic(h)
+        cutoffs = (0.0, 3e-9, 0.3, 1.0, 12.5, 13.0, 40.7, 199.9, 351.0)
+        for kc in cutoffs:
+            fourier._algebraic_panels.cache_clear()
+            first = u.frequency_tail(kc)
+            fourier._algebraic_panels.cache_clear()
+            for other in reversed(cutoffs):
+                if other != kc:
+                    u.frequency_tail(other)
+            assert u.frequency_tail(kc) == first, kc
+
+    def test_one_head_panel_of_bessel_work_per_call(self, monkeypatch):
+        sizes = []
+        real = fourier.bessel_k
+        monkeypatch.setattr(fourier, "bessel_k",
+                            lambda nu, x: sizes.append(np.size(x)) or real(nu, x))
+        fourier._algebraic_panels.cache_clear()
+        u = hs.algebraic(2.5)
+        catalog_entry("algebraic(3.5)")
+        assert sizes == [] and fourier._algebraic_panels.cache_info().currsize == 0
+        cutoffs = (0.0, 0.3, 5.0, 12.9, 40.0, 41.0)
+        for kc in cutoffs:  # builds the blocks these cutoffs need
+            u.frequency_tail(kc)
+        assert sum(sizes) > 16 * len(cutoffs)
+        for kc in cutoffs:
+            del sizes[:]
+            u.frequency_tail(kc)
+            assert len(sizes) == 1 and sizes[0] <= 16, (kc, sizes)
+
+    def test_panel_memo_is_bounded(self):
+        cap = fourier._algebraic_panels.cache_info().maxsize
+        fourier._algebraic_panels.cache_clear()
+        for j in range(cap // 4 + 2):  # four blocks each, from kc = 0 to 86
+            hs.algebraic(30.0 - 0.01 * j).frequency_tail(0.0)
+        info = fourier._algebraic_panels.cache_info()
+        assert info.misses > cap and 0 < info.currsize <= cap
 
     @pytest.mark.parametrize("h", [1.0, 1.5, 1.7, 2.0])
     def test_bad_cutoff_rejected(self, h):
