@@ -240,7 +240,7 @@ def _least_squares_fit(x, y):
     res = y - (slope * x + intercept)
     ss_tot = float(np.sum((y - y.mean()) ** 2))
     r2 = 1.0 - float(np.sum(res ** 2)) / ss_tot if ss_tot > 0 else 1.0
-    return slope, intercept, r2
+    return slope, intercept, r2, res
 
 
 def _usable(records, floor: float, at_least: int):
@@ -273,7 +273,7 @@ def fit_order(records, model: str = "algebraic", floor: float = 0.0) -> FitResul
         x = np.log(ns) if exponent is None else ns ** exponent
     if not np.all(np.isfinite(x)):
         raise ValueError(f"fit model {model!r} overflows at N={ns.max():g}")
-    slope, _, r2 = _least_squares_fit(x, log_e)
+    slope, _, r2, _ = _least_squares_fit(x, log_e)
     return FitResult(rate=-slope, r2=r2)
 
 
@@ -297,10 +297,8 @@ def detect_slope_change(records) -> float:
 
     best = None
     for i in range(3, len(ns) - 3):
-        s1, c1, _ = _least_squares_fit(np.sqrt(ns[:i + 1]), log_e[:i + 1])
-        s2, c2, _ = _least_squares_fit(np.log(ns[i:]), log_e[i:])
-        res1 = log_e[:i + 1] - (s1 * np.sqrt(ns[:i + 1]) + c1)
-        res2 = log_e[i:] - (s2 * np.log(ns[i:]) + c2)
+        s1, c1, _, res1 = _least_squares_fit(np.sqrt(ns[:i + 1]), log_e[:i + 1])
+        s2, c2, _, res2 = _least_squares_fit(np.log(ns[i:]), log_e[i:])
         ssr = float(res1 @ res1 + res2 @ res2)
         if best is None or ssr < best[0]:
             best = (ssr, i, s1, c1, s2, c2)

@@ -12,10 +12,11 @@ two tail norms
     frequency_tail(K) = || F[u] * 1_{|k|>K} ||,
 
 its L2 norm, and decay metadata.  Entries are immutable.  The e^{-x^{2n}}
-transform samples are taken at construction; algebraic(h)'s frequency-tail
-panel integrals are memoised lazily, per h and block of panels, in a bounded
-module-level cache.  Concurrent reads are safe: the worst race builds one
-block twice, with identical values.
+transform samples are taken at construction.  Where F[u] has no closed-form
+tail (algebraic(h != 1), e^{-x^{2n}} for n >= 2), one rule serves: fixed
+panels, each integral scaled by its own power of two, memoised lazily per
+transform and block of panels in one bounded module-level cache.  Concurrent
+reads are safe: the worst race builds one block twice, with identical values.
 """
 
 from __future__ import annotations
@@ -116,12 +117,15 @@ def tail_norm(f: Callable, cutoff: float) -> float:
     """
     c = _cutoff(cutoff)
     peak = float(np.max(np.abs(f(c + (1.0 + c) * np.arange(4.0)))))
-    s = math.ldexp(1.0, math.frexp(peak)[1]) if 0.0 < peak < math.inf else 1.0
+    e = math.frexp(peak)[1] if 0.0 < peak < math.inf else 0
+    s = math.ldexp(1.0, e)
 
     def mapped(t):
         r = 1.0 / (1.0 - t)
-        v = np.asarray(f(c + (1.0 + c) * (r * r - 1.0))) / s
-        return (v * np.conj(v)).real * (2.0 * (1.0 + c) * r ** 3)
+        v = np.asarray(f(c + (1.0 + c) * (r * r - 1.0)))
+        # Parts scaled apart: complex v / s takes 1 / s, inf for a subnormal s.
+        parts = (v.real, v.imag) if np.iscomplexobj(v) else (v,)
+        return sum(np.ldexp(p, -e) ** 2 for p in parts) * (2.0 * (1.0 + c) * r ** 3)
 
     # Where f is subnormal it is off by up to 2**-1075, which puts up to
     # 2(1+c) r**3 2**-1074 / s on the integrand (|f/s| <= 1): below that
@@ -131,39 +135,52 @@ def tail_norm(f: Callable, cutoff: float) -> float:
                                              label=f"tail from cutoff={cutoff}")[0])
 
 
-# f is scaled by 2**450 before it is squared and the root scaled back: exact,
-# and squares stay normal down to |f| ~ 5e-290 (unscaled, below 1e-154: from
-# k ~ 366 for algebraic(h)), while |f| <= 4e15 (algebraic(h) as h -> 1/2)
-# still squares below overflow.
-_TAIL_SCALE = 2.0 ** 450
-
-
-def _panel_squares(f: Callable, edges) -> np.ndarray:
-    """Weighted (f(k) * _TAIL_SCALE)**2 at the 16 Gauss-Legendre nodes of each
-    panel between sorted edges, one row per panel, for a real f that takes
-    arrays: the rows sum to the integral of the scaled square."""
-    nodes, weights = _GL16
-    half = 0.5 * np.diff(edges)[:, None]
-    k = edges[:-1, None] + half * (1.0 + nodes)
-    return half * weights * (f(k) * _TAIL_SCALE) ** 2
-
-
-# Fixed panel edges of algebraic(h)'s frequency tail: 4**-20, ..., 1/4, 1
-# graded toward 0, then 2, 3, ...; panel i runs from edge i to edge i + 1.
+# Fixed panel edges of a sampled frequency tail: 4**-20, ..., 1/4, 1 graded
+# toward 0, then 2, 3, ...; panel i runs from edge i to edge i + 1.
 _GRADE = np.ldexp(1.0, np.arange(-40, 1, 2))
 
 
-# A block is 32 panel integrals (about 0.5 KB with its key); 15 blocks hold
-# every cutoff to 350 of one h.
+def _panel_integrals(f: Callable, edges) -> np.ndarray:
+    """For each panel between sorted edges, of a real f that takes arrays:
+    row 0 the 16-node Gauss-Legendre integral of (f / 2**e)**2, row 1 e, the
+    binary exponent of the panel's peak |f| (-1100 where f is 0).  The scale
+    is exact, as in tail_norm, and no square of a normal f underflows."""
+    nodes, weights = _GL16
+    half = 0.5 * (edges[1:] - edges[:-1])[:, None]
+    v = f(edges[:-1, None] + half * (1.0 + nodes))
+    peak = np.abs(v).max(axis=1, keepdims=True)
+    e = np.where(peak > 0.0, np.frexp(peak)[1], -1100)
+    return np.array([(half * weights * np.ldexp(v, -e) ** 2).sum(axis=1), e[:, 0]])
+
+
+# A block is 32 panels (about 0.6 KB, and its key keeps its transform alive:
+# up to 160 KB of gaussian_power(n) samples); 15 blocks hold every cutoff to
+# 350 of one algebraic(h).
 @lru_cache(maxsize=128)
-def _algebraic_panels(h: float, block: int) -> np.ndarray:
-    """Panels 32*block .. 32*block + 31 of algebraic(h)'s frequency tail, each
-    the integral of its scaled square (read-only)."""
+def _tail_panels(f: Callable, block: int) -> np.ndarray:
+    """Panels 32*block .. 32*block + 31 of f's tail (read-only)."""
     i = np.arange(32 * block, 32 * block + 33)
-    edges = np.where(i < 21, _GRADE[np.minimum(i, 20)], i - 19.0)
-    out = _panel_squares(partial(algebraic_transform, h), edges).sum(axis=1)
+    out = _panel_integrals(f, np.where(i < 21, _GRADE[np.minimum(i, 20)], i - 19.0))
     out.flags.writeable = False
     return out
+
+
+def _sampled_tail(f: Callable, kc: float, top: float) -> float:
+    """|| f * 1_{|k|>kc} || for an even, real f that takes arrays and is
+    negligible beyond top: a head panel from kc to the next fixed edge, then
+    the panels memoised per f up to the first edge at or above top, summed
+    relative to the largest panel scale.  f is 0 across a head only past
+    its support, where the tail is 0."""
+    kc = _cutoff(kc)
+    first = math.floor(kc) + 20 if kc >= 1.0 else int(np.searchsorted(_GRADE, kc, "right"))
+    head = _panel_integrals(f, np.array([kc, first - 19.0 if first > 20 else _GRADE[first]]))
+    if head[0, 0] == 0.0:
+        return 0.0
+    last = math.ceil(top) + 19
+    v, e = np.concatenate([head] + [_tail_panels(f, b)[:, max(first - 32 * b, 0):last - 32 * b]
+                                    for b in range(first // 32, (last - 1) // 32 + 1)], axis=1)
+    big = int(e.max())
+    return math.ldexp(math.sqrt(2.0 * math.fsum(np.ldexp(v, 2 * (e - big).astype(int)))), big)
 
 
 # ---------------------------------------------------------------------------
@@ -187,8 +204,8 @@ class TestFunction:
 
     A tail not given is tail_norm of eval_u or eval_Fu, and an l2_norm not
     given is spatial_tail(0).  derivative() is the one way to u' and u'':
-    each is a catalog entry of its own, whose eval_Fu is k**m * F[u](k), of
-    magnitude |F[d^m u]|; tail norms only ever use magnitudes.
+    each is a catalog entry of its own, whose eval_Fu is F[d^m u](k) =
+    (i*k)**m * F[u](k).
     """
 
     __test__ = False  # "Test" prefix is domain vocabulary, not a pytest class
@@ -229,14 +246,11 @@ def _gaussian_moment_tail(a: float, m: float) -> float:
 def _derived_entry(parent: TestFunction, eval_v, eval_dv=None,
                    spatial_tail=None, frequency_tail=None,
                    meta: DecayMeta = None) -> TestFunction:
-    """Derivative entry with oracle-backed tails where no closed form exists.
-
-    F[v] = i*k*F[u], so the frequency tail integrates |k * parent.Fu(k)|**2.
-    """
+    """Derivative entry, F[v] = i*k*F[u], with oracle tails where none given."""
     entry = TestFunction(
         id=f"d/dx[{parent.id}]",
         eval_u=eval_v,
-        eval_Fu=lambda k: k * parent.eval_Fu(k),
+        eval_Fu=lambda k: 1j * k * parent.eval_Fu(k),
         spatial_tail=spatial_tail,
         frequency_tail=frequency_tail,
         decay_meta=meta or parent.decay_meta,
@@ -342,6 +356,8 @@ def gaussian(freq: float, shift: float = 0.0) -> TestFunction:
     return entry
 
 
+# An entry is small; the cache keeps its transform, the tail memo's key.
+@lru_cache(maxsize=64)
 def algebraic(h: float) -> TestFunction:
     """u(x) = (1+x**2)**(-h), 1/2 < h <= 30: algebraic spatial decay,
     exponential (rate-1) frequency decay via the Bessel-K transform (whose
@@ -361,23 +377,11 @@ def algebraic(h: float) -> TestFunction:
         q = 1.0 + x * x
         return (4.0 * h * (h + 1.0) * x * x - 2.0 * h * q) * q ** (-h - 2.0)
 
+    fu = partial(algebraic_transform, h)
     if h == 1.0:
         frequency = lambda k: _SQRT_HALF_PI * math.exp(-_cutoff(k))
     else:
-        def frequency(kc):
-            # A head panel from kc to the next fixed edge, then the memoised
-            # panels up to the first edge at or above kc + 25 + 2h.  F is
-            # decreasing, so a head that squares to 0 leaves a tail of 0.
-            kc = _cutoff(kc)
-            first = math.floor(kc) + 20 if kc >= 1.0 else int(np.searchsorted(_GRADE, kc, "right"))
-            edge = first - 19.0 if first > 20 else _GRADE[first]
-            head = _panel_squares(partial(algebraic_transform, h), np.array([kc, edge]))[0]
-            if not head.any():
-                return 0.0
-            top = math.ceil(kc + 25.0 + 2.0 * h) + 19
-            parts = [_algebraic_panels(h, b)[max(first - 32 * b, 0):top - 32 * b]
-                     for b in range(first // 32, (top - 1) // 32 + 1)]
-            return math.sqrt(2.0 * math.fsum(np.concatenate([head, *parts]))) / _TAIL_SCALE
+        frequency = lambda kc: _sampled_tail(fu, kc, kc + 25.0 + 2.0 * h)
 
     def deriv():
         return _derived_entry(
@@ -386,7 +390,7 @@ def algebraic(h: float) -> TestFunction:
 
     entry = TestFunction(
         id=f"algebraic({h:g})",
-        eval_u=u, eval_Fu=partial(algebraic_transform, h), frequency_tail=frequency,
+        eval_u=u, eval_Fu=fu, frequency_tail=frequency,
         l2_norm=math.sqrt(_SQRT_PI * math.gamma(2.0 * h - 0.5) / math.gamma(2.0 * h)),
         decay_meta=DecayMeta("algebraic", h, "exponential", 1.0),
         derivative_factory=deriv,
@@ -402,8 +406,8 @@ def gaussian_power(n: int) -> TestFunction:
     For n = 1 everything is in closed form.  For n >= 2 no closed-form
     transform exists; F[u] is sampled once at the 16 Gauss-Legendre nodes of
     each unit panel up to k_max (0 beyond) and read back by barycentric
-    interpolation, whose square the same rule integrates exactly for the
-    frequency tail; the spatial tail and the norm come from tail_norm.
+    interpolation, whose square the fixed tail panels integrate exactly; the
+    spatial tail and the norm come from tail_norm.
     """
     if not isinstance(n, (int, np.integer)) or isinstance(n, bool) or n < 1:
         raise ValueError(f"gaussian_power requires a positive integer, got {n}")
@@ -457,12 +461,7 @@ def gaussian_power(n: int) -> TestFunction:
             q = np.where((d == 0.0).any(axis=-1, keepdims=True), d == 0.0, q)
             return np.where(k > k_max, 0.0, (q * f_nodes[j]).sum(axis=-1) / q.sum(axis=-1))
 
-        def frequency(kc):
-            if _cutoff(kc) >= k_max:
-                return 0.0
-            squares = _panel_squares(fu, np.r_[kc, np.arange(math.floor(kc) + 1, k_max + 1)])
-            return math.sqrt(2.0 * np.sum(squares)) / _TAIL_SCALE
-
+        frequency = lambda kc: _sampled_tail(fu, kc, k_max)
         spatial = None  # tail_norm of u, and the norm from it
 
     def deriv():

@@ -222,8 +222,8 @@ def oracle_detect_slope_change(records):
 
     best = None
     for i in range(3, len(ns) - 3):
-        s1, c1, _ = cli._least_squares_fit(np.sqrt(ns[:i + 1]), log_e[:i + 1])
-        s2, c2, _ = cli._least_squares_fit(np.log(ns[i:]), log_e[i:])
+        s1, c1 = cli._least_squares_fit(np.sqrt(ns[:i + 1]), log_e[:i + 1])[:2]
+        s2, c2 = cli._least_squares_fit(np.log(ns[i:]), log_e[i:])[:2]
         res1 = log_e[:i + 1] - (s1 * np.sqrt(ns[:i + 1]) + c1)
         res2 = log_e[i:] - (s2 * np.log(ns[i:]) + c2)
         ssr = float(res1 @ res1 + res2 @ res2)

@@ -50,12 +50,13 @@ MODULES = ("_integrate", "basis", "cli", "errors", "fourier", "galerkin",
 def settable_values(module):
     """Every parameter of every public function and public method (self and
     cls not counted), plus every field of every public dataclass, defined in
-    the module.  Public: the name has no leading underscore."""
+    the module.  Public: the name has no leading underscore.  A decorated
+    function (an lru_cache, say) counts as the function it wraps."""
     count = 0
     for name, obj in vars(module).items():
         if name.startswith("_") or getattr(obj, "__module__", None) != module.__name__:
             continue
-        if inspect.isfunction(obj):
+        if inspect.isfunction(inspect.unwrap(obj)):
             count += len(inspect.signature(obj).parameters)
         elif inspect.isclass(obj):
             if dataclasses.is_dataclass(obj):
@@ -73,4 +74,4 @@ def test_settable_value_count():
     # cover: a change that adds one must update this pin, on purpose.
     counts = {m: settable_values(importlib.import_module(f"hermscale.{m}"))
               for m in MODULES}
-    assert sum(counts.values()) == 139, counts
+    assert sum(counts.values()) == 140, counts

@@ -111,6 +111,34 @@ def gaussian_power_frequency_tail_direct(n, kc, k_end):
     return math.sqrt(2.0 * np.sum(half * weights * fu * fu))
 
 
+def gaussian_power_sample_end(u):
+    """k_max of gaussian_power(n >= 2): F[u] is sampled on the unit panels
+    below it, a multiple of 8, and is 0 beyond it."""
+    return 8 * next(j for j in range(1, 100) if u.eval_Fu(8.0 * j + 0.5) == 0.0)
+
+
+def gaussian_power_frequency_tail_per_call(u, kc):
+    """||F[u] 1_{|k|>kc}|| for u = gaussian_power(n >= 2), summed afresh on
+    each call: 16-point Gauss-Legendre on [kc, floor(kc) + 1] and every unit
+    panel up to k_max (the sum each call made before tail panels were
+    memoised)."""
+    edges = np.r_[kc, np.arange(math.floor(kc) + 1, gaussian_power_sample_end(u) + 1)]
+    nodes, weights = np.polynomial.legendre.leggauss(16)
+    half = 0.5 * np.diff(edges)[:, None]
+    k = edges[:-1, None] + half * (1.0 + nodes)
+    return math.sqrt(2.0 * np.sum(half * weights * u.eval_Fu(k) ** 2))
+
+
+def assert_zero_tail_without_blocks(u):
+    """The frequency tail of u is 0 at cutoffs where F[u] has vanished, and
+    no panel block is built for them."""
+    before = fourier._tail_panels.cache_info()
+    for kc in (2000.0, 1e6, 2.0 ** 53 + 2.0, 1e300):
+        assert u.frequency_tail(kc) == 0.0, kc
+    after = fourier._tail_panels.cache_info()
+    assert (after.misses, after.currsize) == (before.misses, before.currsize)
+
+
 class TestBesselK:
     def test_half_order_closed_form(self):
         # K_{1/2}(x) = sqrt(pi/(2x)) * exp(-x)
@@ -326,20 +354,17 @@ class TestAlgebraicTails:
     @pytest.mark.parametrize("h", [0.55, 2.0, 3.7, 12.0])
     def test_frequency_tail_beyond_subnormal_squares(self, h):
         # Unscaled, F**2 of algebraic(2) is subnormal from kc ~ 366 on: the
-        # tail loses its digits there and is 0 from kc ~ 380.
+        # tail loses its digits there and is 0 from kc ~ 380.  Scaled by a
+        # fixed 2**450 instead of each panel's own power of two, it loses
+        # them from kc ~ 680 and is 0 from kc ~ 700, where F is still normal.
         u = hs.algebraic(h)
-        for kc in (366.0, 370.0, 380.0, 420.0):
+        for kc in (366.0, 370.0, 380.0, 420.0, 600.0, 680.0, 700.0):
             expect = algebraic_frequency_tail_by_quad(h, kc)
             assert u.frequency_tail(kc) == pytest.approx(expect, rel=1e-12, abs=0.0), kc
 
     @pytest.mark.parametrize("h", [0.55, 2.0, 30.0])
     def test_vanished_transform_gives_zero_and_builds_nothing(self, h):
-        u = hs.algebraic(h)
-        before = fourier._algebraic_panels.cache_info()
-        for kc in (2000.0, 1e6, 2.0 ** 53 + 2.0, 1e300):
-            assert u.frequency_tail(kc) == 0.0, kc
-        after = fourier._algebraic_panels.cache_info()
-        assert (after.misses, after.currsize) == (before.misses, before.currsize)
+        assert_zero_tail_without_blocks(hs.algebraic(h))
 
     @settings(max_examples=100)
     @given(st.floats(0.5, 30.0, exclude_min=True), st.floats(0.0, 350.0))
@@ -355,9 +380,9 @@ class TestAlgebraicTails:
         u = hs.algebraic(h)
         cutoffs = (0.0, 3e-9, 0.3, 1.0, 12.5, 13.0, 40.7, 199.9, 351.0)
         for kc in cutoffs:
-            fourier._algebraic_panels.cache_clear()
+            fourier._tail_panels.cache_clear()
             first = u.frequency_tail(kc)
-            fourier._algebraic_panels.cache_clear()
+            fourier._tail_panels.cache_clear()
             for other in reversed(cutoffs):
                 if other != kc:
                     u.frequency_tail(other)
@@ -368,10 +393,10 @@ class TestAlgebraicTails:
         real = fourier.bessel_k
         monkeypatch.setattr(fourier, "bessel_k",
                             lambda nu, x: sizes.append(np.size(x)) or real(nu, x))
-        fourier._algebraic_panels.cache_clear()
+        fourier._tail_panels.cache_clear()
         u = hs.algebraic(2.5)
         catalog_entry("algebraic(3.5)")
-        assert sizes == [] and fourier._algebraic_panels.cache_info().currsize == 0
+        assert sizes == [] and fourier._tail_panels.cache_info().currsize == 0
         cutoffs = (0.0, 0.3, 5.0, 12.9, 40.0, 41.0)
         for kc in cutoffs:  # builds the blocks these cutoffs need
             u.frequency_tail(kc)
@@ -382,11 +407,11 @@ class TestAlgebraicTails:
             assert len(sizes) == 1 and sizes[0] <= 16, (kc, sizes)
 
     def test_panel_memo_is_bounded(self):
-        cap = fourier._algebraic_panels.cache_info().maxsize
-        fourier._algebraic_panels.cache_clear()
+        cap = fourier._tail_panels.cache_info().maxsize
+        fourier._tail_panels.cache_clear()
         for j in range(cap // 4 + 2):  # four blocks each, from kc = 0 to 86
             hs.algebraic(30.0 - 0.01 * j).frequency_tail(0.0)
-        info = fourier._algebraic_panels.cache_info()
+        info = fourier._tail_panels.cache_info()
         assert info.misses > cap and 0 < info.currsize <= cap
 
     @pytest.mark.parametrize("h", [1.0, 1.5, 1.7, 2.0])
@@ -425,6 +450,34 @@ class TestGaussianPowerTransform:
         for kc in (24.68, 35.18, 45.25):
             expect = gaussian_power_frequency_tail_direct(4, kc, 130.0)
             assert u.frequency_tail(kc) == pytest.approx(expect, rel=1e-8, abs=0.0), kc
+
+    @settings(max_examples=60)
+    @given(st.sampled_from([2, 3, 4, 7, 16, 40]), st.floats(0.0, 1.0))
+    @example(n=2, t=0.0)
+    @example(n=40, t=1.0)
+    def test_memoised_panels_match_per_call_sum(self, n, t):
+        u = hs.gaussian_power(n)
+        kc = t * (gaussian_power_sample_end(u) + 2.0)
+        expect = gaussian_power_frequency_tail_per_call(u, kc)
+        assert u.frequency_tail(kc) == pytest.approx(expect, rel=1e-14, abs=0.0), kc
+
+    def test_one_head_panel_of_transform_work_per_call(self, monkeypatch):
+        u = hs.gaussian_power(4)
+        cutoffs = (0.0, 3e-9, 0.3, 5.0, 24.68, 45.25, 100.0)
+        for kc in cutoffs:  # builds the blocks these cutoffs need
+            u.frequency_tail(kc)
+        sizes = []
+        real = fourier._panel_integrals
+        monkeypatch.setattr(fourier, "_panel_integrals", lambda f, edges: real(
+            lambda k: sizes.append(np.size(k)) or f(k), edges))
+        for kc in cutoffs:
+            del sizes[:]
+            u.frequency_tail(kc)
+            assert sizes == [16], (kc, sizes)
+
+    @pytest.mark.parametrize("n", [2, 40])
+    def test_vanished_transform_gives_zero_and_builds_nothing(self, n):
+        assert_zero_tail_without_blocks(hs.gaussian_power(n))
 
     def test_frequency_tail_beyond_samples(self):
         u = hs.gaussian_power(2)
@@ -517,6 +570,21 @@ class TestCatalog:
         assert abs(du.spatial_tail(0.0) - du.frequency_tail(0.0)) < 1e-8
         with pytest.raises(ValueError):
             hs.gaussian(1.0, 0.0).derivative().derivative()
+
+    @pytest.mark.parametrize("ident, x_end", [("algebraic(1.5)", math.inf),
+                                              ("plain_gaussian(1.3)", 40.0),
+                                              ("gaussian_power(3)", 4.0)])
+    def test_derivative_transforms_carry_their_phase(self, ident, x_end):
+        # u is even, so F[u'](k) = -i sqrt(2/pi) int_0^inf u'(x) sin(kx) dx
+        # (u' is 0 to rounding beyond x_end), and F[u''] = -k**2 F[u].
+        u = catalog_entry(ident)
+        du = u.derivative()
+        for k in (0.5, 1.0, 2.5, 6.0, 11.0):
+            sine = quad(lambda x: float(du.eval_u(x)), 0.0, x_end, weight="sin", wvar=k,
+                        epsabs=1e-13, limit=200)[0]
+            assert abs(complex(du.eval_Fu(k)) + 1j * math.sqrt(2.0 / math.pi) * sine) < 3e-11, k
+            assert complex(du.derivative().eval_Fu(k)) == \
+                pytest.approx(-k * k * float(u.eval_Fu(k)), rel=1e-15, abs=0.0), k
 
     @pytest.mark.parametrize("freq, shift", [(0.0, 0.0), (1.5, 0.7), (-3.0, 2.0),
                                              (0.0, 20.0)])
