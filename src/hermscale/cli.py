@@ -451,7 +451,8 @@ def _build_parser() -> argparse.ArgumentParser:
     sweep.add_argument("--function", help="catalog id, e.g. algebraic(1.5)")
     sweep.add_argument("--n", help="truncation indices: lo:hi[:step] or comma list")
     sweep.add_argument("--schedule",
-                       help="constant(c) | power(c,p) | logsqrt(c) | hlog(c)")
+                       help="constant(c): c | power(c,p): c*N^p | logsqrt(c): c/sqrt(N), "
+                       "no logarithm | hlog(c): c*h*ln(N)/sqrt(N)")
     sweep.add_argument("--gamma", help="reaction coefficient of -u'' + gamma*u = f")
     sweep.add_argument("--measure", help=" | ".join(MEASURES))
     sweep.add_argument("--out", help="CSV output path")

@@ -237,10 +237,17 @@ class TestFunction:
         return f"TestFunction({self.id})"
 
 
-def _gaussian_moment_tail(a: float, m: float) -> float:
-    """integral_m^inf x**2 * exp(-a*x**2) dx."""
-    return (m * math.exp(-a * m * m) / (2.0 * a)
-            + _SQRT_PI * math.erfc(math.sqrt(a) * m) / (4.0 * a ** 1.5))
+def _two_sided(c: float, center: float, a: float,
+               w2: float = 0.0, w1: float = 0.0, w0: float = 1.0) -> float:
+    """sqrt of the integral over |t| > c of (w2*y**2 + 2*w1*y + w0) *
+    exp(-a*y**2), y = t - center: the moments over y >= c - center and,
+    mirrored, y >= c + center in closed form.  0.0 once the square underflows."""
+    r, total = math.sqrt(a), 0.0
+    for sign, low in ((1.0, _cutoff(c) - center), (-1.0, c + center)):
+        e = math.exp(-a * low * low)
+        m0 = _SQRT_PI * math.erfc(r * low) / (2.0 * r)
+        total += w2 * (low * e + m0) / (2.0 * a) + sign * w1 * e / a + w0 * m0
+    return math.sqrt(total)
 
 
 def _derived_entry(parent: TestFunction, eval_v, eval_dv=None,
@@ -259,101 +266,71 @@ def _derived_entry(parent: TestFunction, eval_v, eval_dv=None,
     return entry
 
 
-def plain_gaussian(sigma: float = 1.0) -> TestFunction:
-    """u(x) = exp(-x**2 / (2*sigma**2));  F[u](k) = sigma*exp(-sigma**2*k**2/2)."""
-    if not (math.isfinite(sigma) and sigma > 0):
-        raise ValueError(f"sigma must be positive and finite, got {sigma}")
-    s2 = sigma * sigma
+def _gaussian(ident: str, m: float, freq: float = 0.0, shift: float = 0.0) -> TestFunction:
+    """g(x) = exp(-m*(x-s)**2 + i*k*x), k = freq and s = shift, the function
+    basis.gaussian_coefficients(k, s, n, m) expands;
+    F[g](xi) = exp(-d**2/(4m) - i*d*s) / sqrt(2m), d = xi - k.
 
-    def u(x):
-        return np.exp(-np.asarray(x) ** 2 / (2.0 * s2))
-
-    # exp(-t**2/2) is 0 from t = 39 on; clamping t = sigma*|k| at 40 keeps
-    # its square finite for every sigma.
-    k_cap = 40.0 / sigma
-
-    def fu(k):
-        t = sigma * np.minimum(np.abs(k), k_cap)
-        return sigma * np.exp(-t * t / 2.0)
-
-    def du(x):
-        x = np.asarray(x)
-        return -x / s2 * np.exp(-x * x / (2.0 * s2))
-
-    def d2u(x):
-        x = np.asarray(x)
-        return (x * x / s2 - 1.0) / s2 * np.exp(-x * x / (2.0 * s2))
-
-    spatial = lambda m: math.sqrt(sigma * _SQRT_PI * math.erfc(m / sigma))
-    frequency = lambda k: math.sqrt(sigma * _SQRT_PI * math.erfc(sigma * k))
-
-    def deriv():
-        # ||u'||-type tails from the Gaussian-moment antiderivative.
-        dsp = lambda m: math.sqrt(2.0 / s2 ** 2 * _gaussian_moment_tail(1.0 / s2, m))
-        dfr = lambda k: math.sqrt(2.0 * s2 * _gaussian_moment_tail(s2, k))
-        return _derived_entry(entry, du, eval_dv=d2u,
-                              spatial_tail=dsp, frequency_tail=dfr)
-
-    entry = TestFunction(
-        id=f"plain_gaussian({sigma:g})",
-        eval_u=u, eval_Fu=fu,
-        spatial_tail=spatial, frequency_tail=frequency,
-        l2_norm=math.sqrt(sigma * _SQRT_PI),
-        decay_meta=DecayMeta("exponential", 2.0, "exponential", 2.0),
-        derivative_factory=deriv,
-    )
-    return entry
-
-
-def gaussian(freq: float, shift: float = 0.0) -> TestFunction:
-    """Modulated shifted Gaussian g(x) = exp(-(x-shift)**2/2 + i*freq*x).
-
-    Complex-valued; both tails, and those of the derivative entry, are erfc
-    closed forms of |g| and |F[g]| (each side of the cutoff integrated
-    separately since the mass centers sit at `shift` and `freq`).
+    g is real where k = 0, F[g] where s = 0.  |g|**2 and |F[g]|**2 peak at s
+    and k, so the tails of u and u', spatial and frequency, are _two_sided
+    closed forms.  u'' has an entry only where k = s = 0, with tail_norm
+    tails, which need an even |f|.
     """
-    if not (np.isfinite(freq) and np.isfinite(shift)):
-        raise ValueError("freq and shift must be finite")
+    a, k, s = 2.0 * m, freq, shift
+    # |F[g]| is 0 from |d| = 39 sqrt(a) on; the clamp keeps d**2 finite.
+    cap, scale = 40.0 * math.sqrt(a), math.sqrt(1.0 / a)
 
     def g(x):
         x = np.asarray(x)
-        return np.exp(-0.5 * (x - shift) ** 2 + 1j * freq * x)
+        return np.exp(-m * (x - s) ** 2 + 1j * k * x) if k else np.exp(-m * (x - s) ** 2)
 
     def fg(xi):
-        # |F[g]| is 0 from |xi - freq| = 39 on; the clamp keeps d**2 finite.
-        d = np.clip(np.asarray(xi) - freq, -40.0, 40.0)
-        return np.exp(-1j * d * shift - 0.5 * d ** 2)
+        d = np.clip(np.asarray(xi) - k, -cap, cap)
+        e = -d * d / (2.0 * a)
+        return scale * (np.exp(e - 1j * d * s) if s else np.exp(e))
 
     def dg(x):
         x = np.asarray(x)
-        return (-(x - shift) + 1j * freq) * g(x)
+        return (-a * (x - s) + 1j * k) * g(x) if k else -a * (x - s) * g(x)
 
-    def two_sided(c, center, y2=0.0, y1=0.0, y0=1.0):
-        # sqrt of the integral over |t| > c of (y2*y**2 + 2*y1*y + y0) *
-        # exp(-y**2), y = t - center, in closed form on each side of the cutoff.
-        a, b = c - center, c + center
-        return math.sqrt(y2 * (_gaussian_moment_tail(1.0, a) + _gaussian_moment_tail(1.0, b))
-                         + y1 * (math.exp(-a * a) - math.exp(-b * b))
-                         + y0 * 0.5 * _SQRT_PI * (math.erfc(a) + math.erfc(b)))
+    def d2g(x):
+        ax = a * np.asarray(x)
+        return (ax * ax - a) * g(x)
 
     def deriv():
-        # |g'|**2 = ((x-shift)**2 + freq**2) * exp(-(x-shift)**2) and
-        # |xi*F[g]|**2 = ((xi-freq) + freq)**2 * exp(-(xi-freq)**2).
-        k2 = freq * freq
-        return _derived_entry(entry, dg,
-                              spatial_tail=lambda m: two_sided(m, shift, y2=1.0, y0=k2),
-                              frequency_tail=lambda k: two_sided(k, freq, 1.0, freq, k2))
+        # |g'|**2 = (a**2 y**2 + k**2) exp(-a y**2), y = x - s, and
+        # |xi F[g]|**2 = (d + k)**2 exp(-d**2/a) / a.
+        return _derived_entry(
+            entry, dg, eval_dv=d2g if k == s == 0.0 else None,
+            spatial_tail=lambda c: _two_sided(c, s, a, w2=a * a, w0=k * k),
+            frequency_tail=lambda c: _two_sided(c, k, 1.0 / a, 1.0 / a, k / a, k * k / a))
 
     entry = TestFunction(
-        id=f"gaussian({freq:g},{shift:g})",
-        eval_u=g, eval_Fu=fg,
-        spatial_tail=lambda m: two_sided(m, shift),
-        frequency_tail=lambda k: two_sided(k, freq),
-        l2_norm=math.pi ** 0.25,
+        id=ident, eval_u=g, eval_Fu=fg,
+        spatial_tail=lambda c: _two_sided(c, s, a),
+        frequency_tail=lambda c: _two_sided(c, k, 1.0 / a, w0=1.0 / a),
+        l2_norm=(math.pi / a) ** 0.25,
         decay_meta=DecayMeta("exponential", 2.0, "exponential", 2.0),
         derivative_factory=deriv,
     )
     return entry
+
+
+def plain_gaussian(sigma: float = 1.0) -> TestFunction:
+    """u(x) = exp(-x**2 / (2*sigma**2));  F[u](k) = sigma*exp(-sigma**2*k**2/2),
+    1e-75 < sigma < 1e75, where the weight sigma**-4 of the u' tails is a normal double."""
+    if not 1e-75 < sigma < 1e75:  # NaN too
+        raise ValueError(f"plain_gaussian requires 1e-75 < sigma < 1e75, got {sigma}")
+    return _gaussian(f"plain_gaussian({sigma:g})", 0.5 / (sigma * sigma))
+
+
+def gaussian(freq: float, shift: float = 0.0) -> TestFunction:
+    """Modulated shifted Gaussian g(x) = exp(-(x-shift)**2/2 + i*freq*x), with
+    u' and closed-form two-sided tails (u'' only at freq = shift = 0); complex
+    unless freq = 0."""
+    if not (np.isfinite(freq) and np.isfinite(shift)):
+        raise ValueError("freq and shift must be finite")
+    return _gaussian(f"gaussian({freq:g},{shift:g})", 0.5, float(freq), float(shift))
 
 
 # An entry is small; the cache keeps its transform, the tail memo's key.
@@ -401,19 +378,23 @@ def algebraic(h: float) -> TestFunction:
 # An entry keeps up to 160 KB of transform samples; a sweep uses one or two.
 @lru_cache(maxsize=8)
 def gaussian_power(n: int) -> TestFunction:
-    """u(x) = exp(-x**(2n)), n a positive integer.
+    """u(x) = exp(-x**(2n)), n a positive integer up to 18.
 
-    For n = 1 everything is in closed form.  For n >= 2 no closed-form
-    transform exists; F[u] is sampled once at the 16 Gauss-Legendre nodes of
-    each unit panel up to k_max (0 beyond) and read back by barycentric
-    interpolation, whose square the fixed tail panels integrate exactly; the
-    spatial tail and the norm come from tail_norm.
+    n = 1 is _gaussian with m = 1, in closed form.  For n >= 2 no
+    closed-form transform exists; F[u] is sampled once at the 16
+    Gauss-Legendre nodes of each unit panel up to k_max (0 beyond) and read
+    back by barycentric interpolation, whose square the fixed tail panels
+    integrate exactly; the spatial tail and the norm come from tail_norm.
+    From n = 19 on |F[u]| is still above 1e-14 where the sampling stops
+    (k = 608), and the constructor raises ValueError.
     """
     if not isinstance(n, (int, np.integer)) or isinstance(n, bool) or n < 1:
         raise ValueError(f"gaussian_power requires a positive integer, got {n}")
+    if n == 1:
+        return _gaussian("gaussian_power(1)", 1.0)
     n = int(n)
     two_n = 2 * n
-    freq_rate = two_n / (two_n - 1.0)
+    meta = DecayMeta("exponential", float(two_n), "exponential", two_n / (two_n - 1.0))
 
     # u < 1e-320 beyond x_hi: the evaluators return exact zeros there, where
     # x**(2n) and the derivative factors would overflow.
@@ -431,50 +412,34 @@ def gaussian_power(n: int) -> TestFunction:
     d2u = inside(lambda x: ((two_n * x ** (two_n - 1)) ** 2
                             - two_n * (two_n - 1) * x ** (two_n - 2)) * np.exp(-x ** two_n))
 
-    if n == 1:
-        sig = math.sqrt(0.5)  # exp(-x**2) = exp(-x**2/(2*sig**2))
-        # exp(-k**2/4) is 0 from |k| = 55 on; the clamp keeps k**2 finite.
-        fu = lambda k: sig * np.exp(-np.minimum(np.abs(k), 60.0) ** 2 / 4.0)
-        spatial = lambda m: math.sqrt(sig * _SQRT_PI * math.erfc(m / sig))
-        frequency = lambda k: math.sqrt(sig * _SQRT_PI * math.erfc(sig * k))
-    else:
-        nodes, weights = _GL16
-        lam = (-1.0) ** np.arange(16) * np.sqrt((1.0 - nodes ** 2) * weights)
-        k_nodes, f_nodes = [], []
-        while True:
-            ks = 8 * len(k_nodes) + np.arange(8.0)[:, None] + 0.5 * (1.0 + nodes)
-            k_nodes.append(ks)
-            f_nodes.append(gauss_legendre_cos_samples(u, x_hi, ks.ravel()).reshape(ks.shape))
-            # 1e-14 sits just above the quadrature noise floor.
-            if np.max(np.abs(f_nodes[-1])) < 1e-14 or 8 * len(k_nodes) > 600:
-                break
-        k_nodes, f_nodes = np.concatenate(k_nodes), np.concatenate(f_nodes)
-        k_max = len(k_nodes)
+    nodes, weights = _GL16
+    lam = (-1.0) ** np.arange(16) * np.sqrt((1.0 - nodes ** 2) * weights)
+    k_nodes, f_nodes = [], []
+    # 1e-14 sits just above the quadrature noise floor.
+    while not k_nodes or np.max(np.abs(f_nodes[-1])) >= 1e-14:
+        if 8 * len(k_nodes) > 600:
+            raise ValueError(f"gaussian_power({n}): |F[u]| is still >= 1e-14 at "
+                             f"k = {8 * len(k_nodes)}, where its sampling stops; n <= 18")
+        ks = 8 * len(k_nodes) + np.arange(8.0)[:, None] + 0.5 * (1.0 + nodes)
+        k_nodes.append(ks)
+        f_nodes.append(gauss_legendre_cos_samples(u, x_hi, ks.ravel()).reshape(ks.shape))
+    k_nodes, f_nodes = np.concatenate(k_nodes), np.concatenate(f_nodes)
+    k_max = len(k_nodes)
 
-        def fu(k):
-            k = np.abs(np.asarray(k, dtype=float))
-            kk = np.minimum(k, k_max)
-            j = np.searchsorted(np.arange(1.0, k_max), kk, side="right")  # NaN: last panel
-            d = kk[..., None] - k_nodes[j]
-            with np.errstate(divide="ignore"):
-                q = lam / d
-            q = np.where((d == 0.0).any(axis=-1, keepdims=True), d == 0.0, q)
-            return np.where(k > k_max, 0.0, (q * f_nodes[j]).sum(axis=-1) / q.sum(axis=-1))
-
-        frequency = lambda kc: _sampled_tail(fu, kc, k_max)
-        spatial = None  # tail_norm of u, and the norm from it
-
-    def deriv():
-        return _derived_entry(
-            entry, du, eval_dv=d2u,
-            meta=DecayMeta("exponential", float(two_n), "exponential", freq_rate))
+    def fu(k):
+        k = np.abs(np.asarray(k, dtype=float))
+        kk = np.minimum(k, k_max)
+        j = np.searchsorted(np.arange(1.0, k_max), kk, side="right")  # NaN: last panel
+        d = kk[..., None] - k_nodes[j]
+        with np.errstate(divide="ignore"):
+            q = lam / d
+        q = np.where((d == 0.0).any(axis=-1, keepdims=True), d == 0.0, q)
+        return np.where(k > k_max, 0.0, (q * f_nodes[j]).sum(axis=-1) / q.sum(axis=-1))
 
     entry = TestFunction(
-        id=f"gaussian_power({n})",
-        eval_u=u, eval_Fu=fu,
-        spatial_tail=spatial, frequency_tail=frequency,
-        decay_meta=DecayMeta("exponential", float(two_n), "exponential", freq_rate),
-        derivative_factory=deriv,
+        id=f"gaussian_power({n})", eval_u=u, eval_Fu=fu,
+        frequency_tail=lambda kc: _sampled_tail(fu, kc, k_max), decay_meta=meta,
+        derivative_factory=lambda: _derived_entry(entry, du, eval_dv=d2u, meta=meta),
     )
     return entry
 

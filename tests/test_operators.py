@@ -396,7 +396,7 @@ FAMILIES = st.one_of(
     st.builds(hs.plain_gaussian, st.floats(-2.0, 2.0).map(lambda e: 10.0 ** e)),
     st.builds(hs.gaussian, st.floats(-10.0, 10.0), st.floats(-10.0, 10.0)),
     st.builds(hs.algebraic, st.floats(0.55, 30.0)),
-    st.builds(hs.gaussian_power, st.integers(1, 40)))
+    st.builds(hs.gaussian_power, st.integers(1, 18)))
 
 
 # A frequency tail that jumps across the spatial one at K = 5: no balance.
