@@ -189,13 +189,11 @@ def _sampled_tail(f: Callable, kc: float, top: float) -> float:
 
 @dataclass(frozen=True)
 class DecayMeta:
-    """Qualitative decay of u and F[u]: 'exponential' carries the exponent
+    """Qualitative spatial decay of u: 'exponential' carries the exponent
     power a of exp(-c|x|**a), 'algebraic' the order h of (1+x**2)**(-h)."""
 
     spatial_kind: str
     spatial_rate: float
-    frequency_kind: str
-    frequency_rate: float
 
 
 @dataclass(frozen=True, kw_only=True)
@@ -266,6 +264,21 @@ def _derived_entry(parent: TestFunction, eval_v, eval_dv=None,
     return entry
 
 
+def _clamped(near: Callable, edge: float, far: Optional[Callable] = None,
+             center: float = 0.0) -> Callable:
+    """x -> near(x) where |x - center| < edge (and where x is NaN), else far(x),
+    or 0 where far is None.  Each sees only its own points, so neither
+    overflows on the points it cannot serve."""
+    def f(x):
+        x = np.asarray(x, dtype=float)
+        out = np.abs(x - center) >= edge
+        if not out.any():
+            return near(x)
+        v = near(np.where(out, center, x))
+        return np.where(out, 0.0 if far is None else far(np.where(out, x, center + edge)), v)
+    return f
+
+
 def _gaussian(ident: str, m: float, freq: float = 0.0, shift: float = 0.0) -> TestFunction:
     """g(x) = exp(-m*(x-s)**2 + i*k*x), k = freq and s = shift, the function
     basis.gaussian_coefficients(k, s, n, m) expands;
@@ -274,14 +287,16 @@ def _gaussian(ident: str, m: float, freq: float = 0.0, shift: float = 0.0) -> Te
     g is real where k = 0, F[g] where s = 0.  |g|**2 and |F[g]|**2 peak at s
     and k, so the tails of u and u', spatial and frequency, are _two_sided
     closed forms.  u'' has an entry only where k = s = 0, with tail_norm
-    tails, which need an even |f|.
+    tails, which need an even |f|.  From |x - s| = 2**500 / max(a, 1) on, where
+    g is 0 and a*(x - s) or (a*x)**2 would overflow, the evaluators return 0
+    (u' the signed zero of -a*(x - s)*0).
     """
     a, k, s = 2.0 * m, freq, shift
     # |F[g]| is 0 from |d| = 39 sqrt(a) on; the clamp keeps d**2 finite.
     cap, scale = 40.0 * math.sqrt(a), math.sqrt(1.0 / a)
+    clamp = partial(_clamped, edge=2.0 ** 500 / max(a, 1.0), center=s)
 
     def g(x):
-        x = np.asarray(x)
         return np.exp(-m * (x - s) ** 2 + 1j * k * x) if k else np.exp(-m * (x - s) ** 2)
 
     def fg(xi):
@@ -290,27 +305,27 @@ def _gaussian(ident: str, m: float, freq: float = 0.0, shift: float = 0.0) -> Te
         return scale * (np.exp(e - 1j * d * s) if s else np.exp(e))
 
     def dg(x):
-        x = np.asarray(x)
         return (-a * (x - s) + 1j * k) * g(x) if k else -a * (x - s) * g(x)
 
     def d2g(x):
-        ax = a * np.asarray(x)
+        ax = a * x
         return (ax * ax - a) * g(x)
 
     def deriv():
         # |g'|**2 = (a**2 y**2 + k**2) exp(-a y**2), y = x - s, and
         # |xi F[g]|**2 = (d + k)**2 exp(-d**2/a) / a.
         return _derived_entry(
-            entry, dg, eval_dv=d2g if k == s == 0.0 else None,
+            entry, clamp(dg, far=lambda x: np.copysign(0.0, s - x)),
+            eval_dv=clamp(d2g) if k == s == 0.0 else None,
             spatial_tail=lambda c: _two_sided(c, s, a, w2=a * a, w0=k * k),
             frequency_tail=lambda c: _two_sided(c, k, 1.0 / a, 1.0 / a, k / a, k * k / a))
 
     entry = TestFunction(
-        id=ident, eval_u=g, eval_Fu=fg,
+        id=ident, eval_u=clamp(g), eval_Fu=fg,
         spatial_tail=lambda c: _two_sided(c, s, a),
         frequency_tail=lambda c: _two_sided(c, k, 1.0 / a, w0=1.0 / a),
         l2_norm=(math.pi / a) ** 0.25,
-        decay_meta=DecayMeta("exponential", 2.0, "exponential", 2.0),
+        decay_meta=DecayMeta("exponential", 2.0),
         derivative_factory=deriv,
     )
     return entry
@@ -342,18 +357,16 @@ def algebraic(h: float) -> TestFunction:
     if not (math.isfinite(h) and 0.5 < h <= 30.0):
         raise ValueError(f"algebraic requires 1/2 < h <= 30, got {h}")
 
-    def u(x):
-        return (1.0 + np.asarray(x) ** 2) ** (-h)
-
-    def du(x):
-        x = np.asarray(x)
-        return -2.0 * h * x * (1.0 + x * x) ** (-h - 1.0)
-
-    def d2u(x):
-        x = np.asarray(x)
-        q = 1.0 + x * x
-        return (4.0 * h * (h + 1.0) * x * x - 2.0 * h * q) * q ** (-h - 2.0)
-
+    # Beyond |x| = 1e150, 1 + x**2 is x**2 to within 1e-300 (and x**2
+    # overflows from 2**512): u, u' and u'' are their leading powers of |x|.
+    far = math.nextafter(1e150, math.inf)
+    u = _clamped(lambda x: (1.0 + x ** 2) ** (-h), far,
+                 lambda x: np.abs(x) ** (-2.0 * h))
+    du = _clamped(lambda x: -2.0 * h * x * (1.0 + x * x) ** (-h - 1.0), far,
+                  lambda x: -2.0 * h * np.abs(x) ** (-2.0 * h) / x)
+    d2u = _clamped(lambda x: ((4.0 * h * (h + 1.0) * x * x - 2.0 * h * (1.0 + x * x))
+                              * (1.0 + x * x) ** (-h - 2.0)), far,
+                   lambda x: 2.0 * h * (2.0 * h + 1.0) * np.abs(x) ** (-2.0 * h) / x / x)
     fu = partial(algebraic_transform, h)
     if h == 1.0:
         frequency = lambda k: _SQRT_HALF_PI * math.exp(-_cutoff(k))
@@ -361,15 +374,13 @@ def algebraic(h: float) -> TestFunction:
         frequency = lambda kc: _sampled_tail(fu, kc, kc + 25.0 + 2.0 * h)
 
     def deriv():
-        return _derived_entry(
-            entry, du, eval_dv=d2u,
-            meta=DecayMeta("algebraic", h + 0.5, "exponential", 1.0))
+        return _derived_entry(entry, du, eval_dv=d2u, meta=DecayMeta("algebraic", h + 0.5))
 
     entry = TestFunction(
         id=f"algebraic({h:g})",
         eval_u=u, eval_Fu=fu, frequency_tail=frequency,
         l2_norm=math.sqrt(_SQRT_PI * math.gamma(2.0 * h - 0.5) / math.gamma(2.0 * h)),
-        decay_meta=DecayMeta("algebraic", h, "exponential", 1.0),
+        decay_meta=DecayMeta("algebraic", h),
         derivative_factory=deriv,
     )
     return entry
@@ -394,23 +405,17 @@ def gaussian_power(n: int) -> TestFunction:
         return _gaussian("gaussian_power(1)", 1.0)
     n = int(n)
     two_n = 2 * n
-    meta = DecayMeta("exponential", float(two_n), "exponential", two_n / (two_n - 1.0))
+    meta = DecayMeta("exponential", float(two_n))
 
     # u < 1e-320 beyond x_hi: the evaluators return exact zeros there, where
     # x**(2n) and the derivative factors would overflow.
     x_hi = 737.0 ** (1.0 / two_n)
 
-    def inside(ev):
-        def f(x):
-            x = np.asarray(x, dtype=float)
-            keep = ~(np.abs(x) >= x_hi)  # NaN goes on
-            return np.where(keep, ev(np.where(keep, x, 0.0)), 0.0)
-        return f
-
-    u = inside(lambda x: np.exp(-x ** two_n))
-    du = inside(lambda x: -two_n * x ** (two_n - 1) * np.exp(-x ** two_n))
-    d2u = inside(lambda x: ((two_n * x ** (two_n - 1)) ** 2
-                            - two_n * (two_n - 1) * x ** (two_n - 2)) * np.exp(-x ** two_n))
+    u = _clamped(lambda x: np.exp(-x ** two_n), x_hi)
+    du = _clamped(lambda x: -two_n * x ** (two_n - 1) * np.exp(-x ** two_n), x_hi)
+    d2u = _clamped(lambda x: ((two_n * x ** (two_n - 1)) ** 2
+                              - two_n * (two_n - 1) * x ** (two_n - 2)) * np.exp(-x ** two_n),
+                   x_hi)
 
     nodes, weights = _GL16
     lam = (-1.0) ** np.arange(16) * np.sqrt((1.0 - nodes ** 2) * weights)

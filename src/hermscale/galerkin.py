@@ -22,7 +22,7 @@ import numpy as np
 from .basis import ScaledBasis, SpectralCoeffs, differentiate
 from .fourier import TestFunction
 from .operators import _residuals, interpolate, residual_l2
-from .quadrature import CollocationGrid, _transform
+from .quadrature import _grid, _transform
 
 
 @dataclass(frozen=True)
@@ -37,17 +37,9 @@ class ModelProblem:
             raise ValueError(f"gamma must be positive, got {self.gamma}")
 
 
-@dataclass(frozen=True)
-class GalerkinSystem:
-    """Diagonal and |m-n|=2 couplings of the assembled operator."""
-
-    basis: ScaledBasis
-    diag: np.ndarray
-    offdiag2: np.ndarray
-
-
-def assemble(basis: ScaledBasis, gamma: float) -> GalerkinSystem:
-    """Closed-form entries of (phi_m', phi_n') + gamma*(phi_m, phi_n)."""
+def assemble(basis: ScaledBasis, gamma: float) -> tuple:
+    """Closed-form entries of (phi_m', phi_n') + gamma*(phi_m, phi_n): the
+    diagonal and the |m-n| = 2 couplings, as (diag, offdiag2)."""
     if not gamma > 0:
         raise ValueError(f"gamma must be positive, got {gamma}")
     n = np.arange(basis.n_max + 1)
@@ -55,7 +47,7 @@ def assemble(basis: ScaledBasis, gamma: float) -> GalerkinSystem:
     diag = b2 * (2 * n + 1) / 2.0 + gamma
     m = n[:-2] if basis.n_max >= 2 else np.empty(0, dtype=int)
     offdiag2 = -b2 * np.sqrt((m + 1.0) * (m + 2.0)) / 2.0
-    return GalerkinSystem(basis, diag, offdiag2)
+    return diag, offdiag2
 
 
 def _solve_tridiagonal_spd(diag, off, rhs):
@@ -73,23 +65,23 @@ def _solve_tridiagonal_spd(diag, off, rhs):
     return np.array(z[:-1], dtype=rhs.dtype)
 
 
-def solve(problem: ModelProblem, basis: ScaledBasis,
-          grid: CollocationGrid) -> SpectralCoeffs:
-    """Galerkin solution coefficients for the given basis and grid."""
-    return _solve(problem, basis, interpolate(problem.rhs, basis, grid).values)
+def solve(problem: ModelProblem, basis: ScaledBasis) -> SpectralCoeffs:
+    """Galerkin solution coefficients for the given basis; the right-hand
+    side is interpolated on the grid of size basis.size."""
+    return _solve(problem, basis, interpolate(problem.rhs, basis).values)
 
 
 def _solve(problem: ModelProblem, basis: ScaledBasis, b: np.ndarray) -> SpectralCoeffs:
     """Even and odd Thomas sweeps for the right-hand side b, residual-checked."""
-    system = assemble(basis, problem.gamma)
+    diag, offdiag2 = assemble(basis, problem.gamma)
     c = np.empty_like(b)
     for start in (0, 1):
         sl = slice(start, None, 2)
-        c[sl] = _solve_tridiagonal_spd(system.diag[sl], system.offdiag2[sl], b[sl])
+        c[sl] = _solve_tridiagonal_spd(diag[sl], offdiag2[sl], b[sl])
 
-    ac = system.diag * c
-    ac[:-2] += system.offdiag2 * c[2:]
-    ac[2:] += system.offdiag2 * c[:-2]
+    ac = diag * c
+    ac[:-2] += offdiag2 * c[2:]
+    ac[2:] += offdiag2 * c[:-2]
     residual = np.max(np.abs(ac - b))
     scale = np.max(np.abs(b))
     if scale > 0 and residual > 1e-10 * scale:
@@ -122,8 +114,7 @@ def manufactured_problem(exact: TestFunction, gamma: float = 1.0) -> ModelProble
     return ModelProblem(gamma=gamma, rhs=rhs)
 
 
-def discrete_solution_error(coeffs: SpectralCoeffs, exact: TestFunction,
-                            grid: CollocationGrid) -> float:
+def discrete_solution_error(coeffs: SpectralCoeffs, exact: TestFunction) -> float:
     """Collocation-grid L2 error: Hermite-Gauss quadrature of the squared
     pointwise error at the scaled nodes, which discrete orthonormality makes
     ||a - c|| with a the interpolant coefficients of exact.
@@ -132,15 +123,16 @@ def discrete_solution_error(coeffs: SpectralCoeffs, exact: TestFunction,
     the reference convergence tables are stated in this norm; the
     full-line norm is solution_error.
     """
-    return _grid_error(interpolate(exact, coeffs.basis, grid).values, coeffs)
+    return _grid_error(interpolate(exact, coeffs.basis).values, coeffs)
 
 
 def _grid_error(a: np.ndarray, coeffs: SpectralCoeffs) -> float:
     return float(np.linalg.norm(a - coeffs.values))
 
 
-def _discrete_point(problem, exact, basis, grid):
+def _discrete_point(problem, exact, basis):
     """solve and discrete_solution_error from one two-column row stream."""
+    grid = _grid(basis.n_max)
     x = grid.scaled_nodes(basis.beta)
     samples = np.stack([problem.rhs.eval_u(x), exact.eval_u(x)], 1)
     b, a = _transform(grid, samples, basis.beta).T

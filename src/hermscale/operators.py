@@ -23,7 +23,7 @@ from ._integrate import adaptive_quad
 from .basis import ScaledBasis, SpectralCoeffs, _hermite_rows, _points, _series
 from .errors import AccuracyError, BracketError, DegenerateBalanceError
 from .fourier import TestFunction
-from .quadrature import CollocationGrid, analysis
+from .quadrature import _grid, analysis
 
 # Cutoff constants of the indicator and the rate of its residual term.
 SPATIAL_CUTOFF_FACTOR = 1.0 / (2.0 * math.sqrt(2.0))
@@ -104,14 +104,10 @@ def project(u: TestFunction, basis: ScaledBasis, tol: float = 1e-11) -> Spectral
     return SpectralCoeffs(basis, vals)
 
 
-def interpolate(u: TestFunction, basis: ScaledBasis,
-                grid: CollocationGrid) -> SpectralCoeffs:
-    """Interpolant coefficients from samples at the scaled nodes x_j/beta."""
-    if grid.n_max != basis.n_max:
-        raise ValueError(f"grid size {grid.size} does not match basis size "
-                         f"{basis.size}")
-    values = u.eval_u(grid.scaled_nodes(basis.beta))
-    return analysis(grid, values, basis.beta)
+def interpolate(u: TestFunction, basis: ScaledBasis) -> SpectralCoeffs:
+    """Interpolant coefficients from samples at the scaled nodes x_j/beta of
+    the grid of size basis.size."""
+    return analysis(u.eval_u(_grid(basis.n_max).scaled_nodes(basis.beta)), basis.beta)
 
 
 def residual_l2(u: TestFunction, coeffs: SpectralCoeffs) -> float:

@@ -15,6 +15,7 @@ from __future__ import annotations
 import itertools
 import math
 from dataclasses import dataclass
+from functools import lru_cache
 
 import numpy as np
 
@@ -126,16 +127,27 @@ def compute_grid(n_max: int) -> CollocationGrid:
     return CollocationGrid(n, nodes, weights)
 
 
-def analysis(grid: CollocationGrid, values, beta: float = 1.0) -> SpectralCoeffs:
-    """Coefficients of the interpolant through samples at the scaled nodes.
+# A grid at N_MAX_GRID holds 2 * 10,001 * 8 B ~ 160 KB, so 32 hold ~5.1 MB.
+@lru_cache(maxsize=32)
+def _grid(n_max: int) -> CollocationGrid:
+    """The frozen, read-only grid of size n_max+1, shared by every caller;
+    compute_grid is looked up at call time, so a patch of it sees every
+    construction."""
+    return compute_grid(n_max)
+
+
+def analysis(values, beta: float = 1.0) -> SpectralCoeffs:
+    """Coefficients of the interpolant through samples at the scaled nodes
+    of the grid of size len(values).
 
     values[j] = u(x_j / beta);  c_n = sum_j w_j * values[j] * h_n(x_j) / sqrt(beta),
     one dot per streamed row, so memory is O(N).  Synthesis at the scaled
     nodes then reproduces the samples exactly.
     """
     values = np.asarray(values)
-    if values.shape != (grid.size,):
-        raise ValueError(f"expected {grid.size} samples, got shape {values.shape}")
+    if values.ndim != 1:  # an empty or too long one fails in compute_grid
+        raise ValueError(f"expected a 1-d array of samples, got shape {values.shape}")
+    grid = _grid(values.size - 1)
     return SpectralCoeffs(ScaledBasis(grid.n_max, beta), _transform(grid, values, beta))
 
 
@@ -148,10 +160,9 @@ def _transform(grid: CollocationGrid, values: np.ndarray, beta: float) -> np.nda
     return np.array([row @ weighted for row in rows]) / np.sqrt(beta)
 
 
-def synthesis(grid: CollocationGrid, coeffs: SpectralCoeffs) -> np.ndarray:
-    """Values of the represented function at the scaled nodes x_j / beta,
-    summed over rows streamed at the unscaled nodes x_j."""
-    if coeffs.basis.n_max != grid.n_max:
-        raise ValueError(f"coefficient size {coeffs.basis.size} does not match "
-                         f"grid size {grid.size}")
+def synthesis(coeffs: SpectralCoeffs) -> np.ndarray:
+    """Values of the represented function at the scaled nodes x_j / beta of
+    the grid of size coeffs.basis.size, summed over rows streamed at the
+    unscaled nodes x_j."""
+    grid = _grid(coeffs.basis.n_max)
     return np.sqrt(coeffs.basis.beta) * _series(coeffs.values, grid.nodes).sum(axis=0)

@@ -168,16 +168,15 @@ def test_criterion_10_solver_oracles():
                       * pi_m4 * np.exp(-np.asarray(x) ** 2 / 2.0),
                       eval_Fu=None, spatial_tail=lambda m: 0.0,
                       frequency_tail=lambda k: 0.0, l2_norm=1.0,
-                      decay_meta=DecayMeta("exponential", 2, "exponential", 2))
-    c = galerkin.solve(galerkin.ModelProblem(1.0, f0), ScaledBasis(6, 1.0),
-                       compute_grid(6))
+                      decay_meta=DecayMeta("exponential", 2))
+    c = galerkin.solve(galerkin.ModelProblem(1.0, f0), ScaledBasis(6, 1.0))
     expect = np.zeros(7)
     expect[0] = 1.0
     rec1 = np.abs(c.values - expect).max()
 
     u = hs.gaussian_power(1)
     c2 = galerkin.solve(galerkin.manufactured_problem(u, 1.0),
-                        ScaledBasis(8, math.sqrt(2.0)), compute_grid(8))
+                        ScaledBasis(8, math.sqrt(2.0)))
     expect2 = np.zeros(9)
     expect2[0] = np.pi ** 0.25 / 2.0 ** 0.25
     rec2 = np.abs(c2.values - expect2).max()
@@ -206,8 +205,8 @@ def test_criterion_10_solver_oracles():
     problem = galerkin.manufactured_problem(u3, 1.0)
     basis32 = ScaledBasis(32, 1.0)
     grid32 = compute_grid(32)
-    c3 = galerkin.solve(problem, basis32, grid32)
-    b = hs.analysis(grid32, problem.rhs.eval_u(grid32.nodes), 1.0).values
+    c3 = galerkin.solve(problem, basis32)
+    b = hs.analysis(problem.rhs.eval_u(grid32.nodes), 1.0).values
     dense = np.linalg.solve(dense_matrix(galerkin.assemble(basis32, 1.0)), b)
     split_dev = np.abs(c3.values - dense).max()
 

@@ -30,7 +30,7 @@ def synthetic_test_function(coeffs):
         id="synthetic", eval_u=lambda x: hs.synthesize(coeffs, np.asarray(x)),
         eval_Fu=None, spatial_tail=lambda m: 0.0, frequency_tail=lambda k: 0.0,
         l2_norm=coeffs.norm,
-        decay_meta=DecayMeta("exponential", 2.0, "exponential", 2.0))
+        decay_meta=DecayMeta("exponential", 2.0))
 
 
 def analytic_gaussian_tail(freq, shift, n_max, terms=400):
@@ -281,27 +281,23 @@ class TestInterpolation:
         basis = ScaledBasis(12, 1.4)
         coeffs = SpectralCoeffs(basis, rng.standard_normal(13))
         u = synthetic_test_function(coeffs)
-        got = hs.interpolate(u, basis, compute_grid(12))
+        got = hs.interpolate(u, basis)
         assert np.abs(got.values - coeffs.values).max() < 1e-11
 
     def test_exactness_at_nodes(self):
         u = hs.algebraic(1.0)
         basis = ScaledBasis(32, 1.0)
         grid = compute_grid(32)
-        c = hs.interpolate(u, basis, grid)
+        c = hs.interpolate(u, basis)
         nodes = grid.scaled_nodes(1.0)
         err = np.abs(hs.synthesize(c, nodes) - u.eval_u(nodes))
         assert err.max() < 1e-11 * np.abs(u.eval_u(nodes)).max()
 
     def test_interpolation_error_decreases(self):
         u = hs.gaussian(2.0, 0.0)
-        errs = [hs.residual_l2(u, hs.interpolate(u, ScaledBasis(n, 1.0), compute_grid(n)))
+        errs = [hs.residual_l2(u, hs.interpolate(u, ScaledBasis(n, 1.0)))
                 for n in (8, 16, 32)]
         assert errs[0] > errs[1] > errs[2]
-
-    def test_grid_basis_mismatch(self):
-        with pytest.raises(ValueError):
-            hs.interpolate(hs.algebraic(1.0), ScaledBasis(4, 1.0), compute_grid(5))
 
 
 class TestErrorBreakdown:
@@ -403,7 +399,7 @@ FAMILIES = st.one_of(
 STEP = TestFunction(
     id="step", eval_u=None, eval_Fu=None, spatial_tail=lambda m: 1.0,
     frequency_tail=lambda k: 2.0 if k < 5.0 else 0.5, l2_norm=1.0,
-    decay_meta=DecayMeta("exponential", 2.0, "exponential", 2.0))
+    decay_meta=DecayMeta("exponential", 2.0))
 
 
 class TestBisect:

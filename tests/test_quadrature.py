@@ -9,8 +9,8 @@ from hypothesis import strategies as st
 from scipy.linalg import eigh_tridiagonal
 
 import hermscale as hs
-from hermscale import quadrature
-from hermscale.basis import ScaledBasis, SpectralCoeffs, _hermite_rows
+from hermscale import galerkin, quadrature
+from hermscale.basis import ScaledBasis, SpectralCoeffs, _hermite_rows, _series
 from hermscale.quadrature import compute_grid
 
 from conftest import oracle_hermite_rows
@@ -135,7 +135,7 @@ class TestGridConstruction:
 
 @pytest.fixture(scope="module")
 def limit_grid():
-    return compute_grid(quadrature.N_MAX_GRID)
+    return quadrature._grid(quadrature.N_MAX_GRID)
 
 
 class TestTransforms:
@@ -143,17 +143,16 @@ class TestTransforms:
         grid = compute_grid(8)
         basis = ScaledBasis(8, 2.0)
         values = hs.eval_scaled_basis(basis, grid.scaled_nodes(2.0))[3]
-        c = hs.analysis(grid, values, 2.0)
+        c = hs.analysis(values, 2.0)
         expect = np.zeros(9)
         expect[3] = 1.0
         assert np.abs(c.values - expect).max() < 1e-12
 
     def test_round_trip_random(self):
         rng = np.random.default_rng(11)
-        grid = compute_grid(64)
         c = SpectralCoeffs(ScaledBasis(64, 0.7), rng.standard_normal(65))
-        values = hs.synthesis(grid, c)
-        back = hs.analysis(grid, values, 0.7)
+        values = hs.synthesis(c)
+        back = hs.analysis(values, 0.7)
         assert np.abs(back.values - c.values).max() < 1e-11
 
     @pytest.mark.parametrize("n, beta, dtype", [(0, 1.0, float), (7, 0.3, float),
@@ -171,20 +170,19 @@ class TestTransforms:
         stacked = quadrature._transform(grid, v, beta)
         assert stacked.shape == (n + 1, 2)
         for k in range(2):
-            single = hs.analysis(grid, v[:, k], beta).values
+            single = hs.analysis(v[:, k], beta).values
             norm = math.sqrt(np.sum(grid.weights * np.abs(v[:, k]) ** 2) / beta)
             bound = 2 * (n + 1) * np.finfo(float).eps * norm
             assert np.abs(stacked[:, k] - single).max() <= bound
 
     def test_synthesis_zero(self):
-        grid = compute_grid(5)
         c = SpectralCoeffs(ScaledBasis(5, 1.0), np.zeros(6))
-        assert np.abs(hs.synthesis(grid, c)).max() == 0.0
+        assert np.abs(hs.synthesis(c)).max() == 0.0
 
     def test_synthesis_ground_mode(self):
         grid = compute_grid(1)
         c = SpectralCoeffs(ScaledBasis(1, 1.0), np.array([1.0, 0.0]))
-        vals = hs.synthesis(grid, c)
+        vals = hs.synthesis(c)
         h0 = hs.eval_hermite_functions(grid.nodes, 0)[0]
         assert vals == pytest.approx(h0, rel=1e-14)
 
@@ -193,16 +191,15 @@ class TestTransforms:
         u = hs.algebraic(1.0)
         beta = 1.3
         samples = u.eval_u(grid.scaled_nodes(beta))
-        c = hs.analysis(grid, samples, beta)
-        again = hs.synthesis(grid, c)
+        c = hs.analysis(samples, beta)
+        again = hs.synthesis(c)
         assert np.abs(again - samples).max() < 1e-11 * np.abs(samples).max()
 
     def test_interpolant_converges_to_projection_coefficients(self):
         # Interpolation and projection agree in the limit; coefficient 0 of
         # the modulated Gaussian already matches to 1e-8 at N=40.
-        grid = compute_grid(40)
         u = hs.gaussian(1.0, 0.0)
-        c = hs.interpolate(u, ScaledBasis(40, 1.0), grid)
+        c = hs.interpolate(u, ScaledBasis(40, 1.0))
         closed = hs.gaussian_coefficients(1.0, 0.0, 40)
         assert abs(c.values[0] - closed[0]) < 1e-8
 
@@ -219,8 +216,8 @@ class TestTransforms:
         values = np.cos(grid.nodes)
         tracemalloc.start()
         try:
-            c = hs.analysis(grid, values, 0.5)
-            back = hs.synthesis(grid, c)
+            c = hs.analysis(values, 0.5)
+            back = hs.synthesis(c)
             _, peak = tracemalloc.get_traced_memory()
         finally:
             tracemalloc.stop()
@@ -248,14 +245,39 @@ class TestTransforms:
     @example(600, -3.0, 2)
     @example(600, 3.0, 3)
     def test_round_trip_at_nodes(self, n, log_beta, seed):
-        grid = compute_grid(n)
         values = np.random.default_rng(seed).standard_normal(n + 1)
-        back = hs.synthesis(grid, hs.analysis(grid, values, 10.0 ** log_beta))
+        back = hs.synthesis(hs.analysis(values, 10.0 ** log_beta))
         assert np.abs(back - values).max() <= 1e-13 * math.sqrt(n + 1) * np.abs(values).max()
 
     def test_size_mismatch_rejected(self):
-        grid = compute_grid(4)
-        with pytest.raises(ValueError):
-            hs.analysis(grid, np.zeros(4), 1.0)
-        with pytest.raises(ValueError):
-            hs.synthesis(grid, SpectralCoeffs(ScaledBasis(5, 1.0), np.zeros(6)))
+        # The samples fix the grid: one axis of 1 .. N_MAX_GRID + 1 values.
+        for values in (np.zeros((5, 1)), np.zeros(0), np.zeros(quadrature.N_MAX_GRID + 2)):
+            with pytest.raises(ValueError):
+                hs.analysis(values, 1.0)
+
+    @settings(max_examples=30, deadline=None)
+    @given(st.integers(0, 64),
+           st.sampled_from(["algebraic(1)", "algebraic(2.5)", "plain_gaussian(0.7)",
+                            "gaussian(0,0)", "gaussian_power(1)", "gaussian_power(3)"]),
+           st.floats(-2.0, 2.0))
+    def test_memoised_grid_matches_a_fresh_one(self, n, ident, log_beta):
+        # Each operation on the shared grid gives the bits of the same
+        # sums run on a grid built afresh for its N.
+        u, beta = hs.catalog_entry(ident), 10.0 ** log_beta
+        grid, basis = compute_grid(n), ScaledBasis(n, beta)
+        problem = galerkin.manufactured_problem(u, 1.0)
+
+        def oracle(f):
+            return quadrature._transform(grid, f(grid.scaled_nodes(beta)), beta)
+
+        a = oracle(u.eval_u)
+        assert hs.interpolate(u, basis).values.tobytes() == a.tobytes()
+        assert hs.analysis(u.eval_u(grid.scaled_nodes(beta)), beta).values.tobytes() \
+            == a.tobytes()
+        c = hs.solve(problem, basis)
+        assert c.values.tobytes() == \
+            galerkin._solve(problem, basis, oracle(problem.rhs.eval_u)).values.tobytes()
+        assert hs.discrete_solution_error(c, u) == float(np.linalg.norm(a - c.values))
+        assert hs.synthesis(c).tobytes() == \
+            (np.sqrt(beta) * _series(c.values, grid.nodes).sum(axis=0)).tobytes()
+
