@@ -12,8 +12,8 @@ from .basis import (ScaledBasis, SpectralCoeffs, derivative_matrix,
                     fourier_dual_coeffs, gaussian_coefficients, synthesize)
 from .errors import (AccuracyError, BracketError, DegenerateBalanceError,
                      HermscaleError)
-from .fourier import (DecayMeta, TestFunction, algebraic, catalog_entry,
-                      gaussian, gaussian_power, plain_gaussian, tail_norm)
+from .fourier import (TestFunction, algebraic, catalog_entry, gaussian,
+                      gaussian_power, plain_gaussian, tail_norm)
 from .galerkin import (ModelProblem, discrete_solution_error,
                        manufactured_problem, solution_error, solve)
 from .operators import (ErrorBreakdown, balance_scaling, error_breakdown,
@@ -24,7 +24,7 @@ from .quadrature import CollocationGrid, analysis, compute_grid, synthesis
 __version__ = "0.1.0"
 
 __all__ = [
-    "AccuracyError", "BracketError", "CollocationGrid", "DecayMeta",
+    "AccuracyError", "BracketError", "CollocationGrid",
     "DegenerateBalanceError", "ErrorBreakdown", "HermscaleError",
     "ModelProblem", "ScaledBasis", "SpectralCoeffs", "TestFunction",
     "algebraic", "analysis", "balance_scaling", "catalog_entry",

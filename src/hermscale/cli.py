@@ -21,7 +21,7 @@ from .basis import N_MAX_LIMIT, ScaledBasis, _check_index
 from .errors import AccuracyError, BracketError, HermscaleError
 from .fourier import TestFunction, _parse_call, catalog_entry
 from .operators import (ErrorBreakdown, _bisect, error_breakdown,
-                        projection_error, transition_point)
+                        projection_error, residual_l2, transition_point)
 # compute_grid stays bound here: benchmarks/tracer.py patches it in every
 # module that binds it, and benchmarks/test_smoke.py reads cli.compute_grid.
 from .quadrature import N_MAX_GRID, compute_grid  # noqa: F401
@@ -68,7 +68,8 @@ class SweepConfig:
         object.__setattr__(self, "n_values", ns)
         if not (math.isfinite(self.gamma) and self.gamma > 0):
             raise ValueError(f"gamma must be positive and finite, got {self.gamma}")
-        schedule = parse_schedule(self.schedule, catalog_entry(self.function))
+        catalog_entry(self.function)  # ValueError on an id it cannot build
+        schedule = parse_schedule(self.schedule, self.function)
         for n in ns:
             try:
                 beta = schedule(n)
@@ -137,9 +138,10 @@ _SETTINGS = {"function": ("function", str), "n": ("n_values", parse_n_list),
              "measure": ("measure", str), "out": ("output", str)}
 
 
-def parse_schedule(text: str, u: TestFunction) -> Callable[[int], float]:
+def parse_schedule(text: str, function: str) -> Callable[[int], float]:
     """Scaling schedules: constant(c), power(c, p) -> c*N**p,
-    logsqrt(c) -> c/sqrt(N), hlog(c) -> c*h*ln(N)/sqrt(N)."""
+    logsqrt(c) -> c/sqrt(N), hlog(c) -> c*h*ln(N)/sqrt(N), h read from the
+    catalog id text `function`, which must be algebraic(h)."""
     name, args = _parse_call(text, "schedule")
     if any(a <= 0 for a in args):
         raise ValueError(f"schedule parameters must be positive in {text!r}")
@@ -151,10 +153,11 @@ def parse_schedule(text: str, u: TestFunction) -> Callable[[int], float]:
     if name == "logsqrt" and len(args) == 1:
         return lambda n: args[0] / math.sqrt(n)
     if name == "hlog" and len(args) == 1:
-        if u.decay_meta.spatial_kind != "algebraic":
+        family, params = _parse_call(function, "catalog id")
+        if family != "algebraic" or len(params) != 1:
             raise ValueError(f"hlog schedule needs an algebraic-decay function, "
-                             f"got {u.id}")
-        h = u.decay_meta.spatial_rate
+                             f"got {function}")
+        h = params[0]
         return lambda n: args[0] * h * math.log(n) / math.sqrt(n)
     raise ValueError(f"unknown schedule {text!r}; expected constant(c), "
                      "power(c,p), logsqrt(c) or hlog(c)")
@@ -168,14 +171,15 @@ def _measure_error(u: TestFunction, basis: ScaledBasis,
     if measure == "l2_discrete":
         return galerkin._discrete_point(problem, u, basis)[1]
     coeffs = galerkin.solve(problem, basis)
-    err = galerkin.solution_error(coeffs, u, include_h1=(measure == "h1_solution"))
-    return err["h1"] if measure == "h1_solution" else err["l2"]
+    if measure == "h1_solution":
+        return galerkin.solution_error(coeffs, u)["h1"]
+    return residual_l2(u, coeffs)
 
 
 def run_sweep(config: SweepConfig) -> list:
     """One record per truncation index; deterministic; optionally writes CSV."""
     u = catalog_entry(config.function)
-    schedule = parse_schedule(config.schedule, u)
+    schedule = parse_schedule(config.schedule, config.function)
     problem = (None if config.measure == "l2_projection"
                else galerkin.manufactured_problem(u, config.gamma))
     records = []
@@ -266,15 +270,6 @@ def fit_order(records, model: str = "algebraic", floor: float = 0.0) -> FitResul
         raise ValueError(f"fit model {model!r} overflows at N={ns.max():g}")
     slope, _, r2, _ = _least_squares_fit(x, log_e)
     return FitResult(rate=-slope, r2=r2)
-
-
-def locate_transition(function: str = "algebraic", h: float = 1.5) -> float:
-    """Root of the tail-balance function for the given catalog family,
-    printed to stdout."""
-    u = catalog_entry(f"{function}({h!r})")
-    root = transition_point(u, (1.0, 200.0))
-    print(f"{u.id}: tail-balance root {root:.4f} (nearest integer {round(root)})")
-    return root
 
 
 def detect_slope_change(records) -> float:
@@ -490,7 +485,9 @@ def main(argv=None) -> int:
             print(f"rate={fit.rate:.6f} r2={fit.r2:.6f}")
             return 0
         if args.command == "transition":
-            locate_transition(args.function, args.h)
+            u = catalog_entry(f"{args.function}({args.h!r})")
+            root = transition_point(u, (1.0, 200.0))
+            print(f"{u.id}: tail-balance root {root:.4f} (nearest integer {round(root)})")
             return 0
         if args.command == "reproduce":
             return reproduce(args.target, args.out)

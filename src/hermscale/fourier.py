@@ -11,7 +11,7 @@ two tail norms
     spatial_tail(M)   = || u * 1_{|x|>M} ||,
     frequency_tail(K) = || F[u] * 1_{|k|>K} ||,
 
-its L2 norm, and decay metadata.  Entries are immutable.  The e^{-x^{2n}}
+and its L2 norm.  Entries are immutable.  The e^{-x^{2n}}
 transform samples are taken at construction.  Where F[u] has no closed-form
 tail (algebraic(h != 1), e^{-x^{2n}} for n >= 2), one rule serves: fixed
 panels, each integral scaled by its own power of two, memoised lazily per
@@ -187,18 +187,9 @@ def _sampled_tail(f: Callable, kc: float, top: float) -> float:
 # catalog
 
 
-@dataclass(frozen=True)
-class DecayMeta:
-    """Qualitative spatial decay of u: 'exponential' carries the exponent
-    power a of exp(-c|x|**a), 'algebraic' the order h of (1+x**2)**(-h)."""
-
-    spatial_kind: str
-    spatial_rate: float
-
-
 @dataclass(frozen=True, kw_only=True)
 class TestFunction:
-    """A function u with its transform, tail-norm evaluators and metadata.
+    """A function u with its transform, tail-norm evaluators and L2 norm.
 
     A tail not given is tail_norm of eval_u or eval_Fu, and an l2_norm not
     given is spatial_tail(0).  derivative() is the one way to u' and u'':
@@ -214,7 +205,6 @@ class TestFunction:
     spatial_tail: Optional[Callable[[float], float]] = None
     frequency_tail: Optional[Callable[[float], float]] = None
     l2_norm: Optional[float] = None
-    decay_meta: DecayMeta
     derivative_factory: Optional[Callable] = None
 
     def __post_init__(self):
@@ -249,8 +239,7 @@ def _two_sided(c: float, center: float, a: float,
 
 
 def _derived_entry(parent: TestFunction, eval_v, eval_dv=None,
-                   spatial_tail=None, frequency_tail=None,
-                   meta: DecayMeta = None) -> TestFunction:
+                   spatial_tail=None, frequency_tail=None) -> TestFunction:
     """Derivative entry, F[v] = i*k*F[u], with oracle tails where none given."""
     entry = TestFunction(
         id=f"d/dx[{parent.id}]",
@@ -258,7 +247,6 @@ def _derived_entry(parent: TestFunction, eval_v, eval_dv=None,
         eval_Fu=lambda k: 1j * k * parent.eval_Fu(k),
         spatial_tail=spatial_tail,
         frequency_tail=frequency_tail,
-        decay_meta=meta or parent.decay_meta,
         derivative_factory=None if eval_dv is None else lambda: _derived_entry(entry, eval_dv),
     )
     return entry
@@ -325,7 +313,6 @@ def _gaussian(ident: str, m: float, freq: float = 0.0, shift: float = 0.0) -> Te
         spatial_tail=lambda c: _two_sided(c, s, a),
         frequency_tail=lambda c: _two_sided(c, k, 1.0 / a, w0=1.0 / a),
         l2_norm=(math.pi / a) ** 0.25,
-        decay_meta=DecayMeta("exponential", 2.0),
         derivative_factory=deriv,
     )
     return entry
@@ -342,9 +329,10 @@ def plain_gaussian(sigma: float = 1.0) -> TestFunction:
 def gaussian(freq: float, shift: float = 0.0) -> TestFunction:
     """Modulated shifted Gaussian g(x) = exp(-(x-shift)**2/2 + i*freq*x), with
     u' and closed-form two-sided tails (u'' only at freq = shift = 0); complex
-    unless freq = 0."""
-    if not (np.isfinite(freq) and np.isfinite(shift)):
-        raise ValueError("freq and shift must be finite")
+    unless freq = 0.  |freq|, |shift| <= 2**500, the clamp edge: within it
+    the phases freq*x and (xi - freq)*shift stay below 2**1001."""
+    if not (abs(freq) <= 2.0 ** 500 and abs(shift) <= 2.0 ** 500):  # NaN too
+        raise ValueError(f"gaussian requires |freq|, |shift| <= 2**500, got {freq}, {shift}")
     return _gaussian(f"gaussian({freq:g},{shift:g})", 0.5, float(freq), float(shift))
 
 
@@ -373,15 +361,11 @@ def algebraic(h: float) -> TestFunction:
     else:
         frequency = lambda kc: _sampled_tail(fu, kc, kc + 25.0 + 2.0 * h)
 
-    def deriv():
-        return _derived_entry(entry, du, eval_dv=d2u, meta=DecayMeta("algebraic", h + 0.5))
-
     entry = TestFunction(
         id=f"algebraic({h:g})",
         eval_u=u, eval_Fu=fu, frequency_tail=frequency,
         l2_norm=math.sqrt(_SQRT_PI * math.gamma(2.0 * h - 0.5) / math.gamma(2.0 * h)),
-        decay_meta=DecayMeta("algebraic", h),
-        derivative_factory=deriv,
+        derivative_factory=lambda: _derived_entry(entry, du, eval_dv=d2u),
     )
     return entry
 
@@ -405,7 +389,6 @@ def gaussian_power(n: int) -> TestFunction:
         return _gaussian("gaussian_power(1)", 1.0)
     n = int(n)
     two_n = 2 * n
-    meta = DecayMeta("exponential", float(two_n))
 
     # u < 1e-320 beyond x_hi: the evaluators return exact zeros there, where
     # x**(2n) and the derivative factors would overflow.
@@ -443,8 +426,8 @@ def gaussian_power(n: int) -> TestFunction:
 
     entry = TestFunction(
         id=f"gaussian_power({n})", eval_u=u, eval_Fu=fu,
-        frequency_tail=lambda kc: _sampled_tail(fu, kc, k_max), decay_meta=meta,
-        derivative_factory=lambda: _derived_entry(entry, du, eval_dv=d2u, meta=meta),
+        frequency_tail=lambda kc: _sampled_tail(fu, kc, k_max),
+        derivative_factory=lambda: _derived_entry(entry, du, eval_dv=d2u),
     )
     return entry
 

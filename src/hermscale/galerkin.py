@@ -21,7 +21,7 @@ import numpy as np
 
 from .basis import ScaledBasis, SpectralCoeffs, differentiate
 from .fourier import TestFunction
-from .operators import _residuals, interpolate, residual_l2
+from .operators import _residuals, interpolate
 from .quadrature import _grid, _transform
 
 
@@ -109,7 +109,6 @@ def manufactured_problem(exact: TestFunction, gamma: float = 1.0) -> ModelProble
         id=f"rhs[{exact.id},gamma={gamma:g}]",
         eval_u=f_eval,
         eval_Fu=f_transform,
-        decay_meta=exact.decay_meta,
     )
     return ModelProblem(gamma=gamma, rhs=rhs)
 
@@ -140,18 +139,15 @@ def _discrete_point(problem, exact, basis):
     return coeffs, _grid_error(a, coeffs)
 
 
-def solution_error(coeffs: SpectralCoeffs, exact: TestFunction,
-                   include_h1: bool = True) -> dict:
-    """L2 (and H1) distance between the exact solution and the coefficients.
+def solution_error(coeffs: SpectralCoeffs, exact: TestFunction) -> dict:
+    """L2 and H1 distance between the exact solution and the coefficients.
 
     The H1 part measures the discrete derivative (the coefficient derivative
-    map) against the entry exact.derivative().  Both residuals then come
-    from one adaptive pass over the derivative basis's window, so "l2" may
-    differ in its last bits from the include_h1=False value.  Like residual_l2,
-    the pass is folded onto x >= 0 by parity, h_n(-x) = (-1)**n h_n(x).
+    map) against the entry exact.derivative().  Both residuals come from one
+    adaptive pass over the derivative basis's window, so "l2" may differ in
+    its last bits from residual_l2(exact, coeffs).  Like residual_l2, the
+    pass is folded onto x >= 0 by parity, h_n(-x) = (-1)**n h_n(x).
     """
-    if not include_h1:
-        return {"l2": residual_l2(exact, coeffs), "h1": None}
     l2, dl2 = _residuals([exact, exact.derivative()],
                          [coeffs, differentiate(coeffs)]).tolist()
     return {"l2": l2, "h1": math.sqrt(l2 * l2 + dl2 * dl2)}

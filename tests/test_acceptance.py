@@ -163,12 +163,11 @@ def test_criterion_9_inverse_inequality():
 def test_criterion_10_solver_oracles():
     # (a) exact-in-space problems recover coefficients to 1e-10
     pi_m4 = np.pi ** -0.25
-    from hermscale.fourier import DecayMeta, TestFunction
+    from hermscale.fourier import TestFunction
     f0 = TestFunction(id="f0", eval_u=lambda x: (2.0 - np.asarray(x) ** 2)
                       * pi_m4 * np.exp(-np.asarray(x) ** 2 / 2.0),
                       eval_Fu=None, spatial_tail=lambda m: 0.0,
-                      frequency_tail=lambda k: 0.0, l2_norm=1.0,
-                      decay_meta=DecayMeta("exponential", 2))
+                      frequency_tail=lambda k: 0.0, l2_norm=1.0)
     c = galerkin.solve(galerkin.ModelProblem(1.0, f0), ScaledBasis(6, 1.0))
     expect = np.zeros(7)
     expect[0] = 1.0

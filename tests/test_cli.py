@@ -72,7 +72,7 @@ class TestParsing:
             cli.parse_n_list("10:5")
 
     def test_schedules(self):
-        u = hs.algebraic(2.0)
+        u = "algebraic(2)"
         assert cli.parse_schedule("constant(5)", u)(100) == 5.0
         assert cli.parse_schedule("power(1,0.375)", u)(256) == \
             pytest.approx(8.0, rel=1e-12)
@@ -80,15 +80,23 @@ class TestParsing:
             pytest.approx(1.5, rel=1e-12)
         expect = 3.0 * 2.0 * math.log(100.0) / 10.0
         assert cli.parse_schedule("hlog(3)", u)(100) == pytest.approx(expect)
+        # h is read from the id text as given: algebraic(1.23456789).id is
+        # "algebraic(1.23457)", which would give another beta.
+        assert repr(cli.parse_schedule("hlog(3)", "algebraic(1.23456789)")(16)) == \
+            "2.5672117564900216"
 
     def test_schedule_validation(self):
-        u = hs.algebraic(2.0)
+        u = "algebraic(2)"
         for bad in ("constant(-1)", "constant()", "nope(1)", "power(1)",
                     "constant(x)"):
             with pytest.raises(ValueError):
                 cli.parse_schedule(bad, u)
-        with pytest.raises(ValueError):
-            cli.parse_schedule("hlog(2)", hs.plain_gaussian(1.0))
+        for other in ("plain_gaussian(1)", "gaussian(1,0)", "gaussian_power(2)",
+                      "algebraic()", "algebraic(1,2)", "algebraic"):
+            with pytest.raises(ValueError):
+                cli.parse_schedule("hlog(2)", other)
+        assert cli.main(["sweep", "--function", "plain_gaussian(1)", "--n", "4,8",
+                         "--schedule", "hlog(2)"]) == 3
 
     def test_sweep_config_validation(self):
         with pytest.raises(ValueError):
@@ -103,6 +111,27 @@ class TestParsing:
         with pytest.raises(ValueError):
             cli.SweepConfig(function="wat(1)", n_values=(4, 8),
                             schedule="constant(1)")
+
+    def test_sweep_config_gamma(self):
+        for bad in (math.nan, math.inf, 0.0, -1.0):
+            with pytest.raises(ValueError, match="gamma must be positive and finite"):
+                cli.SweepConfig(function="algebraic(1)", n_values=(4, 8),
+                                schedule="constant(1)", gamma=bad)
+        assert cli.main(["sweep", "--function", "algebraic(1)", "--n", "4,8",
+                         "--schedule", "constant(1)", "--gamma", "nan"]) == 3
+
+    def test_config_file_skips_blank_and_comment_lines(self, tmp_path, capsys):
+        text = ("\n# sweep of algebraic(1)\nfunction=algebraic(1)\n   \n"
+                "  # indented comment\nn=4,8\n\nschedule=constant(1)\nmeasure=l2_discrete\n")
+        assert cli.parse_config_text(text) == {
+            "function": "algebraic(1)", "n": "4,8", "schedule": "constant(1)",
+            "measure": "l2_discrete"}
+        path = tmp_path / "sweep.cfg"
+        path.write_text(text)
+        assert cli.main(["sweep", "--config", str(path)]) == 0
+        lines = capsys.readouterr().out.splitlines()
+        assert lines[0] == cli.CSV_HEADER and [line.split(",")[0] for line in lines[1:]] == \
+            ["4", "8"]
 
     def test_sweep_config_n_must_be_integers(self):
         make = lambda ns, m="l2_solution": cli.SweepConfig(
@@ -228,6 +257,14 @@ class TestCsvRoundTrip:
                     a.breakdown.hermite) == (b.breakdown.spatial,
                                              b.breakdown.frequency,
                                              b.breakdown.hermite)
+
+    def test_read_rejects_a_wrong_header(self, tmp_path):
+        for name, text in (("short.csv", "n,beta,error\n4,1.0,0.5\n"), ("empty.csv", "")):
+            path = tmp_path / name
+            path.write_text(text)
+            with pytest.raises(ValueError, match="missing expected header"):
+                cli.read_csv(path)
+            assert cli.main(["fit", "--csv", str(path)]) == 3
 
 
 class TestRunSweep:
@@ -427,10 +464,11 @@ class TestSlopeChangeDetector:
 
 class TestTransitionCommand:
     def test_reference_value(self, capsys):
-        root = cli.locate_transition("algebraic", 2.0)
-        assert root == pytest.approx(11.1, abs=0.5)
+        assert cli.main(["transition", "--function", "algebraic", "--h", "2"]) == 0
         out = capsys.readouterr().out
-        assert "nearest integer 11" in out
+        root = float(out.split("tail-balance root ")[1].split()[0])
+        assert root == pytest.approx(11.1, abs=0.5)
+        assert out.startswith("algebraic(2): ") and "nearest integer 11" in out
 
 
 class TestMainEntry:

@@ -541,8 +541,6 @@ class TestCatalog:
             slope = np.polyfit(np.log(ms),
                                np.log([u.spatial_tail(m) for m in ms]), 1)[0]
             assert slope == pytest.approx(-(2.0 * h - 0.5), rel=0.1)
-            assert u.decay_meta.spatial_kind == "algebraic"
-            assert u.decay_meta.spatial_rate == h
 
     def test_gaussian_tail_superlinear_drop(self):
         u = hs.plain_gaussian(1.0)
@@ -759,6 +757,52 @@ class TestCatalog:
                 fu = u.eval_Fu(np.r_[x, math.nan, 1e300, -1e300])
             assert np.all(np.isfinite(fu[:-3])) and np.isnan(fu[-3]), u.id
             assert fu[-2] == 0.0 and fu[-1] == 0.0, u.id
+
+    def test_gaussian_rejects_non_finite_parameters(self):
+        for freq, shift in ((math.nan, 0.0), (0.0, math.inf), (-math.inf, 0.0), (0.0, math.nan)):
+            with pytest.raises(ValueError):
+                hs.gaussian(freq, shift)
+
+    def test_gaussian_parameter_bound(self):
+        # Past |freq| or |shift| = 2**500 a phase can overflow inside the
+        # clamp window: gaussian(1e300, 0) gave NaN for u and u' at x = 1e9,
+        # where both are 0, and an inf u' norm.
+        above = math.nextafter(2.0 ** 500, math.inf)
+        for freq, shift in ((1e300, 0.0), (0.0, -1e300), (above, 0.0), (0.0, -above)):
+            with pytest.raises(ValueError, match=r"\|freq\|, \|shift\| <= 2\*\*500"):
+                hs.gaussian(freq, shift)
+        assert cli.main(["transition", "--function", "gaussian", "--h", "1e300"]) == 3
+
+    @settings(max_examples=60)
+    @given(st.tuples(st.sampled_from([-1.0, 0.0, 1.0]), st.floats(0.0, 500.0)),
+           st.tuples(st.sampled_from([-1.0, 0.0, 1.0]), st.floats(0.0, 500.0)),
+           st.lists(st.floats(-1e308, 1e308), max_size=8))
+    @example((1.0, 500.0), (-1.0, 500.0), [1e9])
+    @example((-1.0, 500.0), (1.0, 500.0), [1e308, -np.finfo(float).max])
+    def test_gaussian_large_freq_and_shift(self, freq, shift, xs):
+        # Up to |freq|, |shift| = 2**500, u, u' and F[u] are finite at every
+        # finite x without a warning, and bitwise the unclamped formulas
+        # wherever those are finite inside the window |x - s| < 2**500 (0
+        # beyond it).
+        k, s = (sign * 2.0 ** e for sign, e in (freq, shift))
+        x = np.r_[xs, s - 1.5, s, s + 0.5, s + 1e3, 0.0, 1e9, -1e9, 1e308, -1e308]
+        xi = np.r_[xs, k - 1.5, k, k + 0.5, k + 50.0, 0.0, 1e9, 1e308, -1e308]
+        u = hs.gaussian(k, s)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            got = [u.eval_u(x), u.derivative().eval_u(x), u.eval_Fu(xi)]
+        with np.errstate(all="ignore"):
+            g = np.exp(-0.5 * (x - s) ** 2 + 1j * k * x) if k else np.exp(-0.5 * (x - s) ** 2)
+            d = np.clip(xi - k, -40.0, 40.0)
+            e = -d * d / 2.0
+            want = [g, (-(x - s) + 1j * k) * g if k else -(x - s) * g,
+                    1.0 * (np.exp(e - 1j * d * s) if s else np.exp(e))]  # scale 1/sqrt(a) = 1
+            inside = [np.abs(x - s) < 2.0 ** 500] * 2 + [np.ones(xi.shape, bool)]
+        for v, w, window in zip(got, want, inside):
+            assert np.all(np.isfinite(v)) and v.dtype == w.dtype, u.id
+            same = window & np.isfinite(w)
+            assert v[same].tobytes() == w[same].tobytes(), u.id
+            assert np.all(v[~window] == 0.0), u.id
 
     @pytest.mark.parametrize("h", [0.55, 1.0, 1.5, 30.0])
     def test_algebraic_far_field_matches_mpmath(self, h):

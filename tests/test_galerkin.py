@@ -12,7 +12,7 @@ import hermscale as hs
 from hermscale import basis as basis_module
 from hermscale import cli, galerkin, operators, quadrature
 from hermscale.basis import ScaledBasis
-from hermscale.fourier import DecayMeta, TestFunction
+from hermscale.fourier import TestFunction
 from hermscale.quadrature import compute_grid
 
 PI_M4 = np.pi ** -0.25
@@ -21,8 +21,7 @@ PI_M4 = np.pi ** -0.25
 def plain_rhs(eval_u):
     return TestFunction(id="rhs", eval_u=eval_u, eval_Fu=None,
                         spatial_tail=lambda m: 0.0,
-                        frequency_tail=lambda k: 0.0, l2_norm=1.0,
-                        decay_meta=DecayMeta("exponential", 2))
+                        frequency_tail=lambda k: 0.0, l2_norm=1.0)
 
 
 def dense_matrix(system):
@@ -161,7 +160,7 @@ class TestSolve:
         errs = {}
         for beta in (1.5, 5.0):
             c = galerkin.solve(problem, ScaledBasis(400, beta))
-            errs[beta] = galerkin.solution_error(c, u, include_h1=False)["l2"]
+            errs[beta] = hs.residual_l2(u, c)
         assert errs[1.5] < errs[5.0]
 
     @settings(max_examples=60)
@@ -202,7 +201,7 @@ class TestSolutionError:
         errs = []
         for n in (64, 128):
             c = galerkin.solve(problem, ScaledBasis(n, 1.0))
-            errs.append(galerkin.solution_error(c, u, include_h1=False)["l2"])
+            errs.append(hs.residual_l2(u, c))
         assert errs[0] > errs[1] > 0
 
     def test_h1_dominates_l2(self):
@@ -269,7 +268,7 @@ class TestSolutionError:
         err = galerkin.solution_error(c, u)
         assert err["l2"] == pytest.approx(l2, rel=1e-12, abs=0.0)
         assert err["h1"] == pytest.approx(math.sqrt(l2 * l2 + dl2 * dl2), rel=1e-12, abs=0.0)
-        assert galerkin.solution_error(c, u, include_h1=False)["l2"] == l2
+        assert hs.residual_l2(u, c) == l2
 
     def test_requires_derivative(self):
         u = hs.algebraic(1.0)
@@ -289,7 +288,7 @@ class TestSolutionError:
         problem = galerkin.manufactured_problem(u, 1.0)
         basis = ScaledBasis(48, 1.0)
         c = galerkin.solve(problem, basis)
-        full = galerkin.solution_error(c, u, include_h1=False)["l2"]
+        full = hs.residual_l2(u, c)
         disc = galerkin.discrete_solution_error(c, u)
         assert full / 4.0 < disc < 4.0 * full
 

@@ -15,7 +15,7 @@ from hermscale._integrate import adaptive_quad
 from hermscale.basis import ScaledBasis, SpectralCoeffs, _hermite_rows
 from hermscale.errors import (AccuracyError, BracketError, DegenerateBalanceError,
                               HermscaleError)
-from hermscale.fourier import DecayMeta, TestFunction
+from hermscale.fourier import TestFunction
 from hermscale.operators import (_RESIDUAL_REL_TOL, FREQUENCY_CUTOFF_FACTOR,
                                  SPATIAL_CUTOFF_FACTOR, _bisect, _residuals, residual_l2,
                                  support_radius)
@@ -29,8 +29,7 @@ def synthetic_test_function(coeffs):
     return TestFunction(
         id="synthetic", eval_u=lambda x: hs.synthesize(coeffs, np.asarray(x)),
         eval_Fu=None, spatial_tail=lambda m: 0.0, frequency_tail=lambda k: 0.0,
-        l2_norm=coeffs.norm,
-        decay_meta=DecayMeta("exponential", 2.0))
+        l2_norm=coeffs.norm)
 
 
 def analytic_gaussian_tail(freq, shift, n_max, terms=400):
@@ -155,6 +154,15 @@ class TestProjection:
             tracemalloc.stop()
         assert peak < 64 * 2 ** 20
         assert coeffs.norm <= u.l2_norm * (1.0 + 1e-12)
+
+    def test_non_converged_integral_names_the_basis(self):
+        # sin(1e9 x) oscillates far below any panel width the budget allows.
+        u = TestFunction(id="fast", eval_u=lambda x: np.sin(1e9 * np.asarray(x)), eval_Fu=None,
+                         spatial_tail=lambda m: 0.0, frequency_tail=lambda k: 0.0, l2_norm=1.0)
+        with pytest.raises(AccuracyError, match=r"\(N=2, beta=1\.5\) did not converge") as info:
+            hs.project(u, ScaledBasis(2, 1.5))
+        assert isinstance(info.value.__cause__, AccuracyError)
+        assert info.value.achieved == info.value.__cause__.achieved > 0.0
 
     def test_parseval_mismatch_raises(self):
         # The measured error misses u's peak here (8.0e-12, ~1e-152 and 0.0)
@@ -326,6 +334,12 @@ class TestErrorBreakdown:
         b = hs.error_breakdown(u, ScaledBasis(12, 0.7))
         assert b.total == b.spatial + b.frequency + b.hermite
 
+    def test_components_must_be_finite_and_nonnegative(self):
+        for bad in (-1e-300, -1.0, math.nan, math.inf):
+            for parts in ((bad, 0.0, 0.0), (0.0, bad, 0.0), (0.0, 0.0, bad)):
+                with pytest.raises(ValueError, match="component must be finite and >= 0"):
+                    hs.ErrorBreakdown(*parts)
+
     def test_cutoff_constants(self):
         assert SPATIAL_CUTOFF_FACTOR == pytest.approx(1.0 / (2.0 * math.sqrt(2.0)))
         assert FREQUENCY_CUTOFF_FACTOR == SPATIAL_CUTOFF_FACTOR
@@ -364,6 +378,11 @@ class TestIndicatorSum:
         lvl = lambda n: hs.indicator_sum(u, ScaledBasis(n, 1.0), level=1)
         assert lvl(64) < lvl(16)
 
+    def test_level_out_of_range(self):
+        for level in (3, -1):
+            with pytest.raises(ValueError, match="level must be 0, 1 or 2"):
+                hs.indicator_sum(hs.plain_gaussian(1.0), ScaledBasis(8, 1.0), level=level)
+
     def test_missing_derivatives_rejected(self):
         # u'' of plain_gaussian has no derivative entry; gaussian(k, s) has u'
         # but no u''.
@@ -398,8 +417,7 @@ FAMILIES = st.one_of(
 # A frequency tail that jumps across the spatial one at K = 5: no balance.
 STEP = TestFunction(
     id="step", eval_u=None, eval_Fu=None, spatial_tail=lambda m: 1.0,
-    frequency_tail=lambda k: 2.0 if k < 5.0 else 0.5, l2_norm=1.0,
-    decay_meta=DecayMeta("exponential", 2.0))
+    frequency_tail=lambda k: 2.0 if k < 5.0 else 0.5, l2_norm=1.0)
 
 
 class TestBisect:
@@ -491,6 +509,9 @@ class TestBalanceScaling:
                                (64, (1e-120, 5.0)), (64, (0.2, 1e120))):
             with pytest.raises(ValueError):
                 hs.balance_scaling(u, n_max, bracket)
+        for bracket in ((0.0, 1.0), (2.0, 1.0)):
+            with pytest.raises(ValueError, match="bracket must satisfy 0 < lo < hi"):
+                hs.balance_scaling(u, 64, bracket)
 
     @settings(max_examples=30, deadline=None)
     @given(u=FAMILIES, n_max=st.integers(0, 1024), log_lo=st.floats(-3.0, 0.0),
