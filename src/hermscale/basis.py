@@ -41,9 +41,12 @@ _X_CLIP = 1e150
 # _series splits a batch by seed class from this many normal seeds on.  Best of
 # 9 calls, 2-vCPU Xeon, split / one pass: N = 1024, 15,480 points (10,174
 # normal), 57-59 / 62-63 ms; N = 512, 7,800 points (6,668 normal), 14-15 / 16-17
-# ms, with two columns 25 / 23 ms; synthesis at N = 1000's 1,001 grid nodes (927
-# normal; no sweep runs it), 12-13 / 9.5 ms.
+# ms, with two columns 25 / 23 ms.
 _SPLIT_MIN_POINTS = 4096
+# Rows per block of project's integrand (a working set of _BLOCK_ROWS * 15
+# values per panel, whatever N) and of _transform's contractions; it groups
+# the terms of each coefficient, so changing it changes their last bits.
+_BLOCK_ROWS = 16
 
 
 def _check_index(n_max, limit: int = N_MAX_LIMIT) -> int:

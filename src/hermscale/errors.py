@@ -9,15 +9,18 @@ class AccuracyError(HermscaleError):
     """An adaptive numerical routine could not reach the requested tolerance.
 
     Carries the achieved error estimate so callers can decide whether the
-    partial result is still usable.
+    partial result is still usable; str() appends it to args[0], the message.
     """
 
     def __init__(self, message, achieved=None, value=None):
-        if achieved is not None:
-            message = f"{message} (achieved error estimate {achieved:.3e})"
         super().__init__(message)
         self.achieved = achieved
         self.value = value
+
+    def __str__(self):
+        if self.achieved is None:
+            return super().__str__()
+        return f"{super().__str__()} (achieved error estimate {self.achieved:.3e})"
 
 
 class BracketError(HermscaleError):

@@ -20,7 +20,7 @@ from functools import cache
 import numpy as np
 
 from ._integrate import adaptive_quad
-from .basis import ScaledBasis, SpectralCoeffs, _hermite_rows, _points, _series
+from .basis import _BLOCK_ROWS, ScaledBasis, SpectralCoeffs, _hermite_rows, _points, _series
 from .errors import AccuracyError, BracketError, DegenerateBalanceError
 from .fourier import TestFunction
 from .quadrature import _grid, analysis
@@ -34,10 +34,6 @@ _SUPPORT_PAD = 12.0  # unscaled units past phi_N's turning point: envelope < ~1e
 _RESIDUAL_REL_TOL = 1e-9  # of residual_l2's squared-residual integral
 _BALANCE_LOG_TOL = 1e-6  # balance_scaling's |log(spatial) - log(frequency)| stop
 _ROOT_WIDTH = 1e-3  # transition_point's final bracket width
-# Rows per block of project's integrand: the working set is _BLOCK_ROWS * 15
-# values per panel, whatever N.  The block size sets how the coefficients
-# are grouped in each contraction, so changing it changes their last bits.
-_BLOCK_ROWS = 16
 
 
 @dataclass(frozen=True)
@@ -100,7 +96,8 @@ def project(u: TestFunction, basis: ScaledBasis, tol: float = 1e-11) -> Spectral
     except AccuracyError as exc:
         raise AccuracyError(
             f"projection onto basis (N={basis.n_max}, beta={basis.beta:g}) "
-            f"did not converge: {exc}", achieved=exc.achieved) from exc
+            f"did not converge: {exc.args[0]}", achieved=exc.achieved,
+            value=exc.value) from exc
     return SpectralCoeffs(basis, vals)
 
 

@@ -19,7 +19,8 @@ from functools import lru_cache
 
 import numpy as np
 
-from .basis import ScaledBasis, SpectralCoeffs, _check_index, _hermite_rows, _series
+from .basis import (_BLOCK_ROWS, ScaledBasis, SpectralCoeffs, _check_index, _hermite_rows,
+                    _series)
 
 N_MAX_GRID = 10_000
 
@@ -141,8 +142,8 @@ def analysis(values, beta: float = 1.0) -> SpectralCoeffs:
     of the grid of size len(values).
 
     values[j] = u(x_j / beta);  c_n = sum_j w_j * values[j] * h_n(x_j) / sqrt(beta),
-    one dot per streamed row, so memory is O(N).  Synthesis at the scaled
-    nodes then reproduces the samples exactly.
+    from rows streamed at the nodes x_j >= 0 (see _transform), so memory is
+    O(N).  Synthesis at the scaled nodes then reproduces the samples exactly.
     """
     values = np.asarray(values)
     if values.ndim != 1:  # an empty or too long one fails in compute_grid
@@ -152,17 +153,35 @@ def analysis(values, beta: float = 1.0) -> SpectralCoeffs:
 
 
 def _transform(grid: CollocationGrid, values: np.ndarray, beta: float) -> np.ndarray:
-    """sum_j w_j * values[j] * h_n(x_j) / sqrt(beta), n <= N, in one row
-    stream: analysis of samples of shape (size,), or of each column of
-    samples of shape (size, k), every column summed from the same row."""
+    """sum_j w_j * values[j] * h_n(x_j) / sqrt(beta), n <= N, for samples of
+    shape (size,) or each column of samples of shape (size, k).  The rows are
+    streamed at the nodes x_j >= 0 only: by h_n(-x) = (-1)**n h_n(x), row n
+    meets the even or odd part w_j (v(x_j) +- v(-x_j)); the node 0 (N even)
+    enters both once, and every odd row is an exact 0 there.  Each block of
+    _BLOCK_ROWS rows is contracted with one matmul per parity."""
     weighted = grid.weights.reshape((-1,) + (1,) * (values.ndim - 1)) * values
-    rows = _hermite_rows(grid.nodes, grid.n_max)
-    return np.array([row @ weighted for row in rows]) / np.sqrt(beta)
+    half, zero = grid.size // 2, grid.size % 2
+    sums = np.stack([weighted[half:]] * 2)  # the even and odd parts at x_j >= 0
+    sums[0, zero:] += weighted[:half][::-1]
+    sums[1, zero:] -= weighted[:half][::-1]
+    out = np.empty(values.shape, dtype=sums.dtype)
+    block = np.empty((_BLOCK_ROWS, grid.size - half))
+    rows = _hermite_rows(grid.nodes[half:], grid.n_max)
+    for start in range(0, grid.size, _BLOCK_ROWS):
+        part = block[:grid.size - start]
+        for dst, row in zip(part, rows):
+            dst[...] = row
+        for p in (0, 1):
+            out[start + p:start + len(part):2] = part[p::2] @ sums[p]
+    return out / np.sqrt(beta)
 
 
 def synthesis(coeffs: SpectralCoeffs) -> np.ndarray:
     """Values of the represented function at the scaled nodes x_j / beta of
     the grid of size coeffs.basis.size, summed over rows streamed at the
-    unscaled nodes x_j."""
+    unscaled nodes x_j >= 0: with the even- and odd-index parts of the series
+    there, the values are even + odd at x_j and even - odd at -x_j."""
     grid = _grid(coeffs.basis.n_max)
-    return np.sqrt(coeffs.basis.beta) * _series(coeffs.values, grid.nodes).sum(axis=0)
+    even, odd = _series(coeffs.values, grid.nodes[grid.size // 2:])
+    lower = slice(None, 0 if grid.size % 2 else None, -1)  # the node 0 stays single
+    return np.sqrt(coeffs.basis.beta) * np.r_[(even - odd)[lower], even + odd]

@@ -163,6 +163,9 @@ class TestProjection:
             hs.project(u, ScaledBasis(2, 1.5))
         assert isinstance(info.value.__cause__, AccuracyError)
         assert info.value.achieved == info.value.__cause__.achieved > 0.0
+        # The wrapper quotes its cause's message once, and carries its value.
+        assert str(info.value).count("(achieved error estimate") == 1
+        assert info.value.value is info.value.__cause__.value
 
     def test_parseval_mismatch_raises(self):
         # The measured error misses u's peak here (8.0e-12, ~1e-152 and 0.0)

@@ -9,6 +9,7 @@ from hypothesis import strategies as st
 from scipy.linalg import eigh_tridiagonal
 
 import hermscale as hs
+from hermscale import basis as basis_module
 from hermscale import galerkin, quadrature
 from hermscale.basis import ScaledBasis, SpectralCoeffs, _hermite_rows, _series
 from hermscale.quadrature import compute_grid
@@ -174,6 +175,74 @@ class TestTransforms:
             norm = math.sqrt(np.sum(grid.weights * np.abs(v[:, k]) ** 2) / beta)
             bound = 2 * (n + 1) * np.finfo(float).eps * norm
             assert np.abs(stacked[:, k] - single).max() <= bound
+
+    @settings(max_examples=40)
+    @given(st.integers(0, 600), st.floats(-3.0, 3.0), st.booleans(),
+           st.sampled_from([(), (1,), (2,)]), st.integers(0, 2 ** 32 - 1))
+    @example(0, 0.0, False, (), 1)
+    @example(1, -3.0, True, (2,), 2)
+    @example(14, 3.0, False, (1,), 3)
+    @example(15, 1.0, True, (), 4)
+    @example(16, -1.0, False, (2,), 5)
+    @example(31, 0.5, True, (1,), 6)
+    @example(32, -0.5, False, (2,), 7)
+    def test_folded_transform_matches_full_row_stream(self, n, log_beta, is_complex,
+                                                      columns, seed):
+        # The oracle streams the rows over all N+1 nodes and dots each with
+        # the weighted samples.  Both sides are sums of the terms
+        # w_j v_j h_n(x_j) / sqrt(beta); the fold adds the pair at +-x_j first,
+        # then sums (N+2)//2 products.  Each differs from the exact sum by at
+        # most (N+1) eps sum_j |terms|, and Cauchy-Schwarz with
+        # sum_j w_j h_n(x_j)**2 = 1 bounds that sum by ||sqrt(w) v|| / sqrt(beta),
+        # so the two differ by at most twice that, per column.
+        grid, beta = quadrature._grid(n), 10.0 ** log_beta
+        rng = np.random.default_rng(seed)
+        v = rng.standard_normal((n + 1,) + columns)
+        if is_complex:
+            v = v + 1j * rng.standard_normal(v.shape)
+        w = grid.weights.reshape((-1,) + (1,) * len(columns))
+        oracle = np.array([row @ (w * v) for row in _hermite_rows(grid.nodes, n)])
+        oracle /= np.sqrt(beta)
+        folded = quadrature._transform(grid, v, beta)
+        assert folded.shape == v.shape and folded.dtype == oracle.dtype
+        norm = np.sqrt(np.sum(w * np.abs(v) ** 2, axis=0) / beta)
+        assert np.all(np.abs(folded - oracle) <= 2 * (n + 1) * np.finfo(float).eps * norm)
+
+    @pytest.mark.parametrize("n", [0, 1, 64, 1000])
+    def test_transforms_stream_the_nonnegative_nodes(self, n, monkeypatch):
+        # analysis and synthesis each draw one row stream, over the
+        # (N+2)//2 nodes x_j >= 0; -x_j is served by parity.
+        grid = quadrature._grid(n)
+        streams = []
+
+        def counting(x, n_max):
+            streams.append((x.size, n_max))
+            return _hermite_rows(x, n_max)
+
+        monkeypatch.setattr(quadrature, "_hermite_rows", counting)
+        monkeypatch.setattr(basis_module, "_hermite_rows", counting)
+        c = hs.analysis(np.cos(grid.nodes), 1.0)
+        assert streams == [((n + 2) // 2, n)]
+        streams.clear()
+        hs.synthesis(c)
+        assert streams == [((n + 2) // 2, n)]
+
+    @settings(max_examples=40)
+    @given(st.integers(0, 600), st.floats(-3.0, 3.0), st.booleans(),
+           st.integers(0, 2 ** 32 - 1))
+    @example(0, 0.0, False, 1)
+    @example(1, 1.0, True, 2)
+    @example(600, -3.0, False, 3)
+    def test_synthesis_equals_full_series_bitwise(self, n, log_beta, is_complex, seed):
+        # h_n(-x) = (-1)**n h_n(x) holds bit for bit in the recurrence, so
+        # even -+ odd at x_j >= 0 is the series summed at -+x_j.
+        rng = np.random.default_rng(seed)
+        values = rng.standard_normal(n + 1)
+        if is_complex:
+            values = values + 1j * rng.standard_normal(n + 1)
+        c = SpectralCoeffs(ScaledBasis(n, 10.0 ** log_beta), values)
+        full = np.sqrt(c.basis.beta) * _series(values, quadrature._grid(n).nodes).sum(0)
+        assert hs.synthesis(c).tobytes() == full.tobytes()
 
     def test_synthesis_zero(self):
         c = SpectralCoeffs(ScaledBasis(5, 1.0), np.zeros(6))
