@@ -12,6 +12,7 @@ are.
 """
 
 import heapq
+import math
 
 import numpy as np
 
@@ -71,6 +72,11 @@ _WKG = np.stack([_WGK, _WG], axis=1)
 _ROUND_PANELS = 128
 
 
+def _round_target(over):
+    """Error one round's bisections must cover: every component's excess."""
+    return np.sum(np.maximum(over, 0.0))
+
+
 def _eval_panels(f, lo, hi, weight):
     """Evaluate f on a batch of panels and fold them into running totals.
 
@@ -100,30 +106,32 @@ def _eval_panels(f, lo, hi, weight):
     return np.concatenate(integral), np.concatenate(error), worst
 
 
-def adaptive_quad(f, a, b, abs_tol=1e-12, rel_tol=1e-10, initial=16,
-                  max_panels=20000, label="integrand"):
-    """Integrate a vectorized integrand over [a, b] adaptively.
+def adaptive_quad(f, edges, *, abs_tol=1e-12, rel_tol=1e-10, max_panels=20000,
+                  label="integrand"):
+    """Integrate a vectorized integrand over [edges[0], edges[-1]] adaptively.
 
     f maps an array of abscissae (m,) to d components, real or complex: one
     array, or an iterable of arrays drawn one at a time, each a block (b, m)
     of b components or a single component (m,).  The result is always a (d,)
-    array, (1,) for one component.  [a, b] starts as `initial` uniform panels.
-    Until every component satisfies
+    array, (1,) for one component.  The initial panels lie between `edges`,
+    at least 2 finite, strictly increasing values.  Until every component has
 
-        err_c <= max(abs_tol, rel_tol * |I_c|)
+        over_c = err_c - max(abs_tol, rel_tol * |I_c|) <= 0
 
     each round bisects the worst panels, at most _ROUND_PANELS of them, until
-    their errors cover the largest excess.  The heap keeps one error per
-    panel; a bisected panel is evaluated again, with weight -1, in the same
-    call as its two halves, which takes its share out of the totals.  Memory
-    is O(panels + d) beside one block.
+    their errors cover _round_target(over), every component's excess.  The
+    heap keeps one error per panel; a bisected panel is evaluated again, with
+    weight -1, in the same call as its two halves, which takes its share out
+    of the totals.  Memory is O(panels + d) beside one block.
 
     Raises AccuracyError when `max_panels` panels are spent first, or when
     f returns a value that is not finite, at any round.
     """
-    if not b > a:
-        raise ValueError(f"invalid interval [{a}, {b}]")
-    edges = np.linspace(a, b, initial + 1)
+    edges = np.asarray(edges, dtype=float)
+    # Increasing edges are finite if their ends are; a NaN fails the order.
+    if not (edges.ndim == 1 and edges.size > 1 and (edges[1:] > edges[:-1]).all()
+            and math.isfinite(edges[0]) and math.isfinite(edges[-1])):
+        raise ValueError(f"edges must be at least 2 finite, strictly increasing values: {edges}")
     lo, hi = edges[:-1], edges[1:]
     weight = np.ones(lo.size)
     total = total_err = 0.0
@@ -138,9 +146,9 @@ def adaptive_quad(f, a, b, abs_tol=1e-12, rel_tol=1e-10, initial=16,
         for entry in zip((-worst[new]).tolist(), lo[new].tolist(), hi[new].tolist()):
             heapq.heappush(heap, entry)
         over = total_err - np.maximum(abs_tol, rel_tol * np.abs(total))
-        excess = np.max(over)
-        if excess <= 0.0:
+        if np.max(over) <= 0.0:
             return total
+        excess = _round_target(over)
         popped, covered = [], 0.0
         limit = min(_ROUND_PANELS, max_panels - len(heap))
         # A panel whose error is 0 is exact to machine precision already.

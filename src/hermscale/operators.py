@@ -61,6 +61,22 @@ def support_radius(basis: ScaledBasis) -> float:
     return (math.sqrt(2.0 * basis.n_max + 1.0) + _SUPPORT_PAD) / basis.beta
 
 
+def _panel_edges(basis: ScaledBasis, uniform: int) -> np.ndarray:
+    """Initial panel edges on [0, support_radius(basis)], each spanning an
+    equal share of the integral of phi_N's local wavenumber k in t = beta*x,
+    as many as make the panel at 0 no wider than `uniform` equal panels
+    would, and at least 16.  Inside the turning point T = sqrt(2N+1),
+    k = sqrt(T**2 - t**2).  Near T, phi_N ~ Ai(a * (t - T)) varies on the
+    Airy length 1/a, a = (2T)**(1/3), however small k gets: k falls to a one
+    Airy length inside T and stays a from there to the window's end."""
+    T = math.sqrt(2.0 * basis.n_max + 1.0)
+    t = np.linspace(0.0, T + _SUPPORT_PAD, 8 * uniform + 1)  # 8 steps a uniform panel
+    k = np.sqrt(np.maximum(T * T - t * t, (2.0 * T) ** (2.0 / 3.0)))
+    k_sum = np.r_[0.0, np.cumsum(k[1:] + k[:-1])]  # trapezoid rule, in units of half a step
+    count = max(16, math.ceil(k_sum[-1] / k_sum[8]))
+    return np.interp(np.linspace(0.0, k_sum[-1], count + 1), k_sum, t) / basis.beta
+
+
 def project(u: TestFunction, basis: ScaledBasis, tol: float = 1e-11) -> SpectralCoeffs:
     """L2-orthogonal projection coefficients (u, phi_n), n <= N.
 
@@ -74,7 +90,6 @@ def project(u: TestFunction, basis: ScaledBasis, tol: float = 1e-11) -> Spectral
     """
     if tol < 1e-12:
         raise ValueError(f"tol must be >= 1e-12, got {tol}")
-    x_max = support_radius(basis)
     root_beta = math.sqrt(basis.beta)
 
     def f(x):
@@ -89,9 +104,10 @@ def project(u: TestFunction, basis: ScaledBasis, tol: float = 1e-11) -> Spectral
             yield part
 
     try:
-        # Panels as wide as max(32, N + 16) of them across the whole window.
-        vals = adaptive_quad(f, 0.0, x_max, abs_tol=tol, rel_tol=0.0,
-                             initial=(max(32, basis.n_max + 16) + 1) // 2,
+        # The panel at 0 no wider than one of max(32, N + 16) equal panels
+        # across the whole window.
+        edges = _panel_edges(basis, (max(32, basis.n_max + 16) + 1) // 2)
+        vals = adaptive_quad(f, edges, abs_tol=tol, rel_tol=0.0,
                              max_panels=40000, label="projection coefficient")
     except AccuracyError as exc:
         raise AccuracyError(
@@ -144,9 +160,9 @@ def _residuals(us, coeffs) -> np.ndarray:
     norms = np.array([np.linalg.norm(cf.values) for cf in coeffs])
     noise = 2e-14 * np.maximum(1.0, norms)
     floor = noise * noise * 2.0 * x_max
-    core = adaptive_quad(f, 0.0, x_max, abs_tol=np.maximum(1e-30, floor),
-                         rel_tol=_RESIDUAL_REL_TOL,
-                         initial=max(16, basis.n_max + 8),
+    # r**2 oscillates twice as fast as phi_N: twice project's panel density.
+    core = adaptive_quad(f, _panel_edges(basis, max(16, basis.n_max + 8)),
+                         abs_tol=np.maximum(1e-30, floor), rel_tol=_RESIDUAL_REL_TOL,
                          max_panels=40000, label="squared residual")
     tails = np.array([u.spatial_tail(x_max) for u in us])
     return np.sqrt(np.maximum(core, 0.0) + tails * tails)

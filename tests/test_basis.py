@@ -58,8 +58,8 @@ class TestHermiteFunctions:
             def row(x):
                 phi = hs.eval_scaled_basis(basis, x)
                 return phi * phi[m]
-            vals = adaptive_quad(row, -cut, cut, abs_tol=1e-12, rel_tol=0.0,
-                                 initial=64)
+            vals = adaptive_quad(row, np.linspace(-cut, cut, 65), abs_tol=1e-12,
+                                 rel_tol=0.0)
             expect = np.zeros(31)
             expect[m] = 1.0
             dev = max(dev, np.abs(vals - expect).max())

@@ -10,15 +10,15 @@ from hypothesis import strategies as st
 
 import hermscale as hs
 from hermscale import basis as basis_module
-from hermscale import galerkin, operators
+from hermscale import _integrate, galerkin, operators
 from hermscale._integrate import adaptive_quad
 from hermscale.basis import ScaledBasis, SpectralCoeffs, _hermite_rows
 from hermscale.errors import (AccuracyError, BracketError, DegenerateBalanceError,
                               HermscaleError)
 from hermscale.fourier import TestFunction
 from hermscale.operators import (_RESIDUAL_REL_TOL, FREQUENCY_CUTOFF_FACTOR,
-                                 SPATIAL_CUTOFF_FACTOR, _bisect, _residuals, residual_l2,
-                                 support_radius)
+                                 SPATIAL_CUTOFF_FACTOR, _bisect, _panel_edges, _residuals,
+                                 residual_l2, support_radius)
 from hermscale.quadrature import compute_grid
 
 from conftest import oracle_balance_scaling, oracle_hermite_rows, oracle_transition_point
@@ -37,11 +37,25 @@ def analytic_gaussian_tail(freq, shift, n_max, terms=400):
     return math.sqrt(float(np.sum(np.abs(c[n_max + 1:]) ** 2)))
 
 
+def project_edges(basis):
+    """project's initial panel edges on [0, x_max]."""
+    return _panel_edges(basis, (max(32, basis.n_max + 16) + 1) // 2)
+
+
+def residual_edges(basis):
+    """_residuals's initial panel edges on [0, x_max]."""
+    return _panel_edges(basis, max(16, basis.n_max + 8))
+
+
+def mirrored(edges):
+    """Edges on [0, x_max] reflected onto the whole window [-x_max, x_max]."""
+    return np.r_[-edges[:0:-1], edges]
+
+
 def oracle_project(u, basis, tol=1e-11):
     """project's coefficients from its folded integrand as a row generator:
-    phi_n(x) * (u(x) + (-1)**n u(-x)) on [0, x_max], a fresh array per row,
-    stacked 16 rows to a fresh block."""
-    x_max = support_radius(basis)
+    phi_n(x) * (u(x) + (-1)**n u(-x)) on project's edges, a fresh array per
+    row, stacked 16 rows to a fresh block."""
     root_beta = math.sqrt(basis.beta)
 
     def f(x):
@@ -51,14 +65,13 @@ def oracle_project(u, basis, tol=1e-11):
         for start in range(0, basis.size, 16):
             yield np.array([next(rows) for _ in range(min(16, basis.size - start))])
 
-    return adaptive_quad(f, 0.0, x_max, abs_tol=tol, rel_tol=0.0,
-                         initial=(max(32, basis.n_max + 16) + 1) // 2, max_panels=40000)
+    return adaptive_quad(f, project_edges(basis), abs_tol=tol, rel_tol=0.0, max_panels=40000)
 
 
 def two_sided_project(u, basis, tol=1e-11):
     """project as it stood before the fold: phi_n(x) * u(x) over the whole
-    window [-x_max, x_max], a fresh array per row, 16 rows to a fresh block."""
-    x_max = support_radius(basis)
+    window [-x_max, x_max], on project's edges and their mirror image, a fresh
+    array per row, 16 rows to a fresh block."""
     root_beta = math.sqrt(basis.beta)
 
     def f(x):
@@ -67,14 +80,15 @@ def two_sided_project(u, basis, tol=1e-11):
         for start in range(0, basis.size, 16):
             yield np.array([next(rows) for _ in range(min(16, basis.size - start))])
 
-    return adaptive_quad(f, -x_max, x_max, abs_tol=tol, rel_tol=0.0,
-                         initial=max(32, basis.n_max + 16), max_panels=40000)
+    return adaptive_quad(f, mirrored(project_edges(basis)), abs_tol=tol, rel_tol=0.0,
+                         max_panels=40000)
 
 
 def two_sided_residuals(us, coeffs):
     """_residuals as it stood before the fold: the squared residuals over the
-    whole window [-x_max, x_max], each series one accumulation over the
-    oracle rows (bitwise the unsplit _series of that time)."""
+    whole window [-x_max, x_max], on _residuals's edges and their mirror
+    image, each series one accumulation over the oracle rows (bitwise the
+    unsplit _series of that time)."""
     basis = max((cf.basis for cf in coeffs), key=lambda b: b.n_max)
     x_max = support_radius(basis)
     c = np.stack([np.pad(cf.values, (0, basis.size - cf.basis.size)) for cf in coeffs],
@@ -89,9 +103,8 @@ def two_sided_residuals(us, coeffs):
 
     noise = 2e-14 * np.maximum(1.0, [np.linalg.norm(cf.values) for cf in coeffs])
     floor = noise * noise * 2.0 * x_max
-    core = adaptive_quad(f, -x_max, x_max, abs_tol=np.maximum(1e-30, floor),
-                         rel_tol=_RESIDUAL_REL_TOL, initial=max(32, 2 * basis.n_max + 16),
-                         max_panels=40000)
+    core = adaptive_quad(f, mirrored(residual_edges(basis)), abs_tol=np.maximum(1e-30, floor),
+                         rel_tol=_RESIDUAL_REL_TOL, max_panels=40000)
     tails = np.array([u.spatial_tail(x_max) for u in us])
     return np.sqrt(np.maximum(core, 0.0) + tails * tails)
 
@@ -284,6 +297,144 @@ class TestHalfLineFold:
                        [(this, "_hermite_rows"), (this, "oracle_hermite_rows")])
         assert fold.min() >= 0.0
         assert fold.size <= 0.55 * two.size
+
+
+def uniform_route(patch):
+    """Put the full-line integrals back on the route before graded panels:
+    `uniform` equal initial panels, and rounds that cover the largest excess
+    alone."""
+    patch.setattr(operators, "_panel_edges", lambda basis, uniform:
+                  np.linspace(0.0, support_radius(basis), uniform + 1))
+    patch.setattr(_integrate, "_round_target", np.max)
+
+
+def graded_and_uniform(fn, *args):
+    """fn(*args) on the graded and on the uniform route, or the AccuracyError
+    it raises."""
+    out = []
+    for route in (lambda patch: None, uniform_route):
+        with pytest.MonkeyPatch.context() as patch:
+            route(patch)
+            try:
+                out.append(fn(*args))
+            except AccuracyError as exc:
+                out.append(exc)
+    return out
+
+
+_GRADED_NAMES = ["algebraic(1)", "algebraic(1.5)", "algebraic(2.5)", "plain_gaussian(0.5)",
+                 "plain_gaussian(2)", "gaussian(0,0)", "gaussian(2,1)", "gaussian_power(2)",
+                 "gaussian_power(4)"]
+
+
+@st.composite
+def graded_cases(draw):
+    """(u, basis): N <= 256, log(beta) in [-2, 2], and u a catalog entry or
+    gaussian(k, s) with |k| up to the basis's top wavenumber sqrt(2N+1)*beta
+    and |s| up to the window's half-width."""
+    n = draw(st.integers(0, 256))
+    basis = ScaledBasis(n, math.exp(draw(st.floats(-2.0, 2.0))))
+    if draw(st.booleans()):
+        return hs.catalog_entry(draw(st.sampled_from(_GRADED_NAMES))), basis
+    k = draw(st.floats(-1.0, 1.0)) * math.sqrt(2.0 * n + 1.0) * basis.beta
+    s = draw(st.floats(-1.0, 1.0)) * support_radius(basis)
+    return hs.gaussian(k, s), basis
+
+
+class TestGradedPanels:
+    """project and _residuals start on panels graded by phi_N's wavenumber,
+    and each round covers every component's excess; the uniform panels and
+    the largest-excess rounds they replaced are the reference."""
+
+    # Each route promises every coefficient to 1e-11 absolute by its K15 - G7
+    # estimate, which overstates the error by orders on these integrands.
+    COEFF_TOL = 1e-11
+
+    @staticmethod
+    def integral_tolerance(core, coeffs, x_max):
+        """Allowed gap between the two routes' squared-residual integrals.
+
+        Each route promises the integral I to 1e-9 relative; as for
+        COEFF_TOL, the estimate overstates the error of a smooth integrand by
+        orders, so the two agree to 1e-9 * I.  Near the roundoff floor the
+        integrand is noise of 2e-14 * max(1, ||c||) on r, which is
+        noise * sqrt(2 * x_max) = d on the norm (fold_tolerance), so
+        d * (2 * norm + d) on I."""
+        d = 2e-14 * max(1.0, coeffs.norm) * math.sqrt(2.0 * x_max)
+        return 1e-9 * core + d * (2.0 * math.sqrt(core) + d)
+
+    @settings(max_examples=25, deadline=None)
+    @given(graded_cases())
+    @example((hs.gaussian(math.sqrt(513.0) * 2.0, 3.0), ScaledBasis(256, 2.0)))
+    @example((hs.gaussian(-math.sqrt(33.0) * 0.5, -support_radius(ScaledBasis(16, 0.5))),
+              ScaledBasis(16, 0.5)))
+    def test_graded_routes_match_uniform(self, case):
+        u, basis = case
+        got, want = graded_and_uniform(hs.project, u, basis)
+        assert isinstance(got, AccuracyError) == isinstance(want, AccuracyError)
+        if isinstance(got, AccuracyError):
+            return
+        assert np.abs(got.values - want.values).max() <= self.COEFF_TOL
+
+        pairs = [([u], [got])]
+        if u.derivative_factory is not None:
+            pairs.append(([u, u.derivative()], [got, hs.differentiate(got)]))
+        for us, coeffs in pairs:
+            x_max = support_radius(coeffs[-1].basis)
+            tails = np.array([v.spatial_tail(x_max) for v in us])
+            cores, raised = [], []
+            for e in graded_and_uniform(_residuals, us, coeffs):
+                if isinstance(e, AccuracyError):
+                    raised.append(e)
+                    cores.append(e.value)
+                else:
+                    cores.append(e * e - tails * tails)
+            if len(raised) == 2:
+                continue
+            slack = 0.0
+            if raised:
+                # An integral stalled at its noise plateau, where luck alone
+                # separates converging from spending all 40,000 panels, may
+                # raise on one route only (ROADMAP item 12).  Both ways occur:
+                # the uniform route alone raises at gaussian(13.4384, -5.77845),
+                # N = 231, beta = 1.59228, the graded alone at gaussian(2,1),
+                # N = 251, beta = 3.38707 (both H1 pairs).  It must stop within
+                # twice its target, max(floor, 1e-9 * |I|), and its carried
+                # value must agree.
+                floors = [(2e-14 * max(1.0, cf.norm)) ** 2 * 2.0 * x_max for cf in coeffs]
+                targets = np.maximum(floors, 1e-9 * np.abs(raised[0].value))
+                assert raised[0].achieved <= 2.0 * targets.max()
+                slack = raised[0].achieved
+            for a, b, cf in zip(*cores, coeffs):
+                assert abs(a - b) <= self.integral_tolerance(max(a, b, 0.0), cf, x_max) + slack
+
+    def test_work_at_fullline_largest_point(self, monkeypatch):
+        # fullline's largest point: project converges in 2 rounds (6 on
+        # uniform panels), and the residual's first round has at most 3/4 of
+        # the N + 8 uniform panels.
+        runs, active = [], []
+        quad, panels = operators.adaptive_quad, _integrate._eval_panels
+
+        def counted_quad(*args, **kwargs):
+            runs.append([])
+            active.append(True)
+            try:
+                return quad(*args, **kwargs)
+            finally:
+                active.pop()
+
+        def counting(f, lo, hi, weight):
+            if active:
+                runs[-1].append(lo.size)
+            return panels(f, lo, hi, weight)
+
+        monkeypatch.setattr(operators, "adaptive_quad", counted_quad)
+        monkeypatch.setattr(_integrate, "_eval_panels", counting)
+        u, basis = hs.algebraic(1.0), ScaledBasis(1024, 30.0 / 32.0)
+        residual_l2(u, hs.project(u, basis))
+        project_rounds, residual_rounds = runs
+        assert len(project_rounds) <= 2
+        assert residual_rounds[0] <= 0.75 * (basis.n_max + 8)
 
 
 class TestInterpolation:
