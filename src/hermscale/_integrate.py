@@ -124,7 +124,8 @@ def adaptive_quad(f, edges, *, abs_tol=1e-12, rel_tol=1e-10, max_panels=20000,
     weight -1, in the same call as its two halves, which takes its share out
     of the totals.  Memory is O(panels + d) beside one block.
 
-    Raises AccuracyError when `max_panels` panels are spent first, or when
+    Raises AccuracyError when `max_panels` panels are spent first, naming the
+    component of largest excess with its own estimate as `achieved`, or when
     f returns a value that is not finite, at any round.
     """
     edges = np.asarray(edges, dtype=float)
@@ -162,29 +163,8 @@ def adaptive_quad(f, edges, *, abs_tol=1e-12, rel_tol=1e-10, max_panels=20000,
         lo, hi = np.r_[p_lo, mid, p_lo], np.r_[mid, p_hi, p_hi]
         weight = np.repeat([1.0, 1.0, -1.0], p_lo.size)
 
-    what = f"{label}[{int(np.argmax(over))}]" if total.size > 1 else label
+    i = int(np.argmax(over))
+    what = f"{label}[{i}]" if total.size > 1 else label
     raise AccuracyError(f"adaptive quadrature did not converge for {what}",
-                        achieved=float(np.max(total_err)), value=total)
+                        achieved=float(total_err[i]), value=total)
 
-
-_GL64 = np.polynomial.legendre.leggauss(64)
-
-
-def gauss_legendre_cos_samples(u, x_hi, k_values):
-    """Cosine-transform samples (2/sqrt(2*pi)) * int_0^{x_hi} u(x) cos(k x) dx.
-
-    Composite 64-point Gauss-Legendre panels sized so the fastest requested
-    oscillation gets 10 abscissae per period, and at least 128 in all; one
-    weight/value vector is shared across all k.  Accuracy is roundoff-limited
-    (~1e-14 * scale).
-    """
-    k = np.asarray(k_values, dtype=float)
-    k_top = float(np.max(np.abs(k))) if k.size else 0.0
-    need = int(10 * k_top * x_hi / (2.0 * np.pi)) + 128
-    panels = -(-need // 64)
-    edges = np.linspace(0.0, x_hi, panels + 1)
-    half = 0.5 * np.diff(edges)
-    mid = 0.5 * (edges[:-1] + edges[1:])
-    x = (mid[:, None] + half[:, None] * _GL64[0][None, :]).ravel()
-    w = (half[:, None] * _GL64[1][None, :]).ravel() * np.asarray(u(x), dtype=float)
-    return np.sqrt(2.0 / np.pi) * (np.cos(np.outer(k, x)) @ w)

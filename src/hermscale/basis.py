@@ -74,10 +74,6 @@ class ScaledBasis:
     def size(self) -> int:
         return self.n_max + 1
 
-    def dual(self) -> "ScaledBasis":
-        """Basis the Fourier transform of this basis spans (beta -> 1/beta)."""
-        return ScaledBasis(self.n_max, 1.0 / self.beta)
-
 
 @dataclass(frozen=True)
 class SpectralCoeffs:
@@ -323,5 +319,5 @@ def fourier_dual_coeffs(coeffs: SpectralCoeffs) -> SpectralCoeffs:
     """
     n = coeffs.basis.n_max
     phases = np.array([1.0, -1.0j, -1.0, 1.0j])[np.arange(n + 1) % 4]
-    return SpectralCoeffs(coeffs.basis.dual(),
+    return SpectralCoeffs(ScaledBasis(n, 1.0 / coeffs.basis.beta),
                           np.asarray(coeffs.values, dtype=complex) * phases)

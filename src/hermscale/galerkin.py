@@ -122,21 +122,17 @@ def discrete_solution_error(coeffs: SpectralCoeffs, exact: TestFunction) -> floa
     the reference convergence tables are stated in this norm; the
     full-line norm is solution_error.
     """
-    return _grid_error(interpolate(exact, coeffs.basis).values, coeffs)
-
-
-def _grid_error(a: np.ndarray, coeffs: SpectralCoeffs) -> float:
-    return float(np.linalg.norm(a - coeffs.values))
+    return float(np.linalg.norm(interpolate(exact, coeffs.basis).values - coeffs.values))
 
 
 def _discrete_point(problem, exact, basis):
     """solve and discrete_solution_error from one two-column row stream."""
     grid = _grid(basis.n_max)
-    x = grid.scaled_nodes(basis.beta)
+    x = grid.nodes / basis.beta
     samples = np.stack([problem.rhs.eval_u(x), exact.eval_u(x)], 1)
     b, a = _transform(grid, samples, basis.beta).T
     coeffs = _solve(problem, basis, b)
-    return coeffs, _grid_error(a, coeffs)
+    return coeffs, float(np.linalg.norm(a - coeffs.values))
 
 
 def solution_error(coeffs: SpectralCoeffs, exact: TestFunction) -> dict:

@@ -46,10 +46,6 @@ class CollocationGrid:
     def size(self) -> int:
         return self.n_max + 1
 
-    def scaled_nodes(self, beta: float) -> np.ndarray:
-        """Interpolation points x_j / beta of the basis scaled by beta."""
-        return self.nodes / beta
-
 
 def _root_guesses(n: int) -> np.ndarray:
     """Asymptotic guesses for the non-negative roots of h_{n+1}, ascending.

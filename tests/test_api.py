@@ -75,7 +75,7 @@ def test_settable_value_count():
     # pin is per module, so a removal in one cannot hide an addition in another.
     counts = {m: settable_values(importlib.import_module(f"hermscale.{m}"))
               for m in MODULES}
-    assert counts == {"_integrate": 9, "basis": 17, "cli": 34, "errors": 0,
+    assert counts == {"_integrate": 6, "basis": 17, "cli": 34, "errors": 0,
                       "fourier": 19, "galerkin": 12, "operators": 23,
-                      "quadrature": 8}
-    assert sum(counts.values()) == 122
+                      "quadrature": 7}
+    assert sum(counts.values()) == 118

@@ -433,6 +433,15 @@ class TestGaussianPowerTransform:
         assert np.abs(u.eval_Fu(ks) - expect).max() <= 1e-14
         assert np.abs(u.eval_Fu(-ks) - expect).max() <= 1e-14
 
+    @pytest.mark.parametrize("k_top", [10.0, 600.0])
+    def test_cos_samples_against_closed_form(self, k_top):
+        # F[exp(-x**2)](k) = exp(-k**2/4)/sqrt(2); its mass past x = 7 is
+        # exp(-49).  The panels follow the batch's largest k: 4 of them for
+        # the batch up to 10, 107 for the one up to 600.
+        ks = np.linspace(0.0, k_top, 121)
+        got = fourier._cos_samples(lambda x: np.exp(-x * x), 7.0, ks)
+        assert np.abs(got - np.exp(-ks * ks / 4.0) / math.sqrt(2.0)).max() <= 1e-14
+
     def test_frequency_tail_at_zero_is_norm(self):
         for n in range(1, 17):
             u = hs.gaussian_power(n)

@@ -109,7 +109,7 @@ class TestSolve:
         grid = compute_grid(32)
         c = galerkin.solve(problem, basis)
         system = galerkin.assemble(basis, 1.0)
-        b = hs.analysis(problem.rhs.eval_u(grid.scaled_nodes(1.3)),
+        b = hs.analysis(problem.rhs.eval_u(grid.nodes / 1.3),
                         1.3).values
         dense = np.linalg.solve(dense_matrix(system), b)
         assert np.abs(c.values - dense).max() < 1e-12
@@ -302,7 +302,7 @@ def nodal_discrete_error(coeffs, u, grid):
     """The grid norm as the nodal sum it is defined by: synthesis at the
     scaled nodes, squared pointwise error, Hermite-Gauss weights."""
     beta = coeffs.basis.beta
-    diff = u.eval_u(grid.scaled_nodes(beta)) - hs.synthesis(coeffs)
+    diff = u.eval_u(grid.nodes / beta) - hs.synthesis(coeffs)
     return math.sqrt(float(np.sum(grid.weights * np.abs(diff) ** 2)) / beta)
 
 

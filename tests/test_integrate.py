@@ -135,6 +135,28 @@ class TestBudget:
         # Every bisection adds one panel; the budget is never overrun.
         assert sum(seen) == 300
 
+    def test_achieved_is_the_named_components_estimate(self, monkeypatch):
+        # Component 0 misses its target; component 1 carries the larger
+        # error, 5.0 against 0.93, but sits far under its own target, 1e-6 of
+        # its integral 1.3e9.  The error names component 0, so `achieved` is
+        # component 0's estimate, not the largest one.
+        estimates = []
+        original = _integrate._eval_panels
+
+        def summing(f, lo, hi, weight):
+            result = original(f, lo, hi, weight)
+            estimates.append(result[1])
+            return result
+
+        monkeypatch.setattr(_integrate, "_eval_panels", summing)
+        f = lambda x: (np.abs(x) ** -0.9, 1e9 * np.sqrt(np.abs(x)))
+        with pytest.raises(AccuracyError, match=r"integrand\[0\]") as info:
+            adaptive_quad(f, np.linspace(-1.0, 1.0, 17), abs_tol=0.0, rel_tol=1e-6,
+                          max_panels=32)
+        err = sum(estimates)
+        assert err[1] > err[0] and err[1] < 1e-6 * abs(info.value.value[1])
+        assert info.value.achieved == err[0]
+
     def test_non_finite_values_raise(self):
         with pytest.raises(AccuracyError):
             adaptive_quad(lambda x: np.where(x > 0.5, np.nan, 1.0),

@@ -152,8 +152,9 @@ class TestProjection:
             assert best <= e + 1e-8
 
     def test_tolerance_guard(self):
-        with pytest.raises(ValueError):
-            hs.project(hs.algebraic(1.0), ScaledBasis(4, 1.0), tol=1e-13)
+        for tol in (1e-13, math.nan, math.inf):
+            with pytest.raises(ValueError, match="tol must be"):
+                hs.project(hs.algebraic(1.0), ScaledBasis(4, 1.0), tol=tol)
 
     def test_memory_bounded_at_n2048(self):
         # The (15 * panels) x (N+1) basis matrix would be about 1 GB here;
@@ -172,13 +173,13 @@ class TestProjection:
         # sin(1e9 x) oscillates far below any panel width the budget allows.
         u = TestFunction(id="fast", eval_u=lambda x: np.sin(1e9 * np.asarray(x)), eval_Fu=None,
                          spatial_tail=lambda m: 0.0, frequency_tail=lambda k: 0.0, l2_norm=1.0)
-        with pytest.raises(AccuracyError, match=r"\(N=2, beta=1\.5\) did not converge") as info:
+        with pytest.raises(AccuracyError, match=r"did not converge for projection "
+                           r"coefficient \(N=2, beta=1\.5\)\[\d\]") as info:
             hs.project(u, ScaledBasis(2, 1.5))
-        assert isinstance(info.value.__cause__, AccuracyError)
-        assert info.value.achieved == info.value.__cause__.achieved > 0.0
-        # The wrapper quotes its cause's message once, and carries its value.
+        # The integrator's own error: its estimate once, and every coefficient.
+        assert info.value.achieved > 0.0
         assert str(info.value).count("(achieved error estimate") == 1
-        assert info.value.value is info.value.__cause__.value
+        assert np.shape(info.value.value) == (3,)
 
     def test_parseval_mismatch_raises(self):
         # The measured error misses u's peak here (8.0e-12, ~1e-152 and 0.0)
@@ -451,7 +452,7 @@ class TestInterpolation:
         basis = ScaledBasis(32, 1.0)
         grid = compute_grid(32)
         c = hs.interpolate(u, basis)
-        nodes = grid.scaled_nodes(1.0)
+        nodes = grid.nodes / 1.0
         err = np.abs(hs.synthesize(c, nodes) - u.eval_u(nodes))
         assert err.max() < 1e-11 * np.abs(u.eval_u(nodes)).max()
 
