@@ -18,25 +18,21 @@ import numpy as np
 
 from .errors import AccuracyError
 
-# (G7, K15) Gauss-Kronrod pair, abscissae/weights on [-1, 1] (QUADPACK dqk15).
+# (G7, K15) Gauss-Kronrod pair on [-1, 1] as QUADPACK's dqk15 stores it: the
+# 8 Kronrod abscissae x >= 0, largest first, their weights, and the 7-point
+# Gauss weights, which sit on every second one of them.
 _XGK = np.array([
-    -0.991455371120812639206854697526329,
-    -0.949107912342758524526189684047851,
-    -0.864864423359769072789712788640926,
-    -0.741531185599394439863864773280788,
-    -0.586087235467691130294144838258730,
-    -0.405845151377397166906606412076961,
-    -0.207784955007898467600689403773245,
-    0.0,
-    0.207784955007898467600689403773245,
-    0.405845151377397166906606412076961,
-    0.586087235467691130294144838258730,
-    0.741531185599394439863864773280788,
-    0.864864423359769072789712788640926,
-    0.949107912342758524526189684047851,
     0.991455371120812639206854697526329,
+    0.949107912342758524526189684047851,
+    0.864864423359769072789712788640926,
+    0.741531185599394439863864773280788,
+    0.586087235467691130294144838258730,
+    0.405845151377397166906606412076961,
+    0.207784955007898467600689403773245,
+    0.0,
 ])
-_WGK = np.array([
+_WKG = np.zeros((8, 2))  # K15 and G7 weights side by side
+_WKG[:, 0] = [
     0.022935322010529224963732008058970,
     0.063092092629978553290700663189204,
     0.104790010322250183839876322541518,
@@ -45,29 +41,17 @@ _WGK = np.array([
     0.190350578064785409913256402421014,
     0.204432940075298892414161999234649,
     0.209482141084727828012999174891714,
-    0.204432940075298892414161999234649,
-    0.190350578064785409913256402421014,
-    0.169004726639267902826583426598550,
-    0.140653259715525918745189590510238,
-    0.104790010322250183839876322541518,
-    0.063092092629978553290700663189204,
-    0.022935322010529224963732008058970,
-])
-# Embedded 7-point Gauss weights sit on the odd Kronrod abscissae.
-_WG = np.zeros(15)
-_WG[1::2] = [
+]
+_WKG[1::2, 1] = [
     0.129484966168869693270611432679082,
     0.279705391489276667901467771423780,
     0.381830050505118944950369775488975,
     0.417959183673469387755102040816327,
-    0.381830050505118944950369775488975,
-    0.279705391489276667901467771423780,
-    0.129484966168869693270611432679082,
 ]
-
-
-# Both rules side by side, so one product gives the K15 and G7 sums.
-_WKG = np.stack([_WGK, _WG], axis=1)
+# The rule is symmetric: mirror each half-table about the centre node, which
+# stays +0.0.  One product with _WKG then gives the K15 and G7 sums.
+_XGK = np.r_[-_XGK[:-1], _XGK[::-1]]
+_WKG = np.r_[_WKG, _WKG[-2::-1]]
 # Most panels bisected in one round of adaptive_quad.
 _ROUND_PANELS = 128
 

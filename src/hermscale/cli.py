@@ -194,7 +194,7 @@ def run_sweep(config: SweepConfig) -> list:
             error, flag = math.nan, f"accuracy: {exc}"
         records.append(ConvergenceRecord(n, beta, error, breakdown, flag))
     if config.output:
-        write_csv(config.output, records)
+        Path(config.output).write_text(_csv_text(records))
     return records
 
 
@@ -205,10 +205,6 @@ def _csv_text(records) -> str:
         lines.append(f"{r.n},{r.beta:.17e},{r.error:.17e},"
                      f"{b.spatial:.17e},{b.frequency:.17e},{b.hermite:.17e}")
     return "\n".join(lines) + "\n"
-
-
-def write_csv(path, records) -> None:
-    Path(path).write_text(_csv_text(records))
 
 
 def read_csv(path) -> list:
@@ -308,7 +304,7 @@ def _sweep_to(out_dir: Path, name: str, **kwargs) -> list:
     return run_sweep(config)
 
 
-def reproduce_table1(out_dir: Path) -> Iterator[tuple]:
+def _reproduce_table1(out_dir: Path) -> Iterator[tuple]:
     # The reference orders are stated in the collocation-grid norm: the
     # full-line L2 error instead follows the theoretical rates N^(1/4-h)
     # and N^(1/2-2h), which sit well below these table values.
@@ -326,7 +322,7 @@ def reproduce_table1(out_dir: Path) -> Iterator[tuple]:
                    f"(reference {ref}, tolerance 0.15, R2 {fit.r2:.4f})")
 
 
-def reproduce_table2(out_dir: Path) -> Iterator[tuple]:
+def _reproduce_table2(out_dir: Path) -> Iterator[tuple]:
     lines = ["h,root"]
     for h, ref in TABLE2_ROOTS.items():
         root = transition_point(catalog_entry(f"algebraic({h:g})"), (1.0, 200.0))
@@ -337,7 +333,7 @@ def reproduce_table2(out_dir: Path) -> Iterator[tuple]:
     (out_dir / "table2.csv").write_text("\n".join(lines) + "\n")
 
 
-def reproduce_fig12(out_dir: Path) -> Iterator[tuple]:
+def _reproduce_fig12(out_dir: Path) -> Iterator[tuple]:
     """Both scaling choices for exp(-x**8): fixed scale shows the
     sub-geometric rate, the power schedule restores a geometric rate.
 
@@ -368,7 +364,7 @@ def reproduce_fig12(out_dir: Path) -> Iterator[tuple]:
            f"fig2 at N=128: {e_tuned[128]:.3e} <= 0.1 * {e_flat[128]:.3e}")
 
 
-def reproduce_fig3(out_dir: Path) -> Iterator[tuple]:
+def _reproduce_fig3(out_dir: Path) -> Iterator[tuple]:
     n_values = (16, 32, 64, 96, 128, 192, 256)
     flat = _sweep_to(out_dir, "fig3_beta1", function="algebraic(1)",
                      n_values=n_values, schedule="constant(1)",
@@ -383,7 +379,7 @@ def reproduce_fig3(out_dir: Path) -> Iterator[tuple]:
                    f"< beta=1 error {rf.error:.3e}")
 
 
-def reproduce_fig4(out_dir: Path) -> Iterator[tuple]:
+def _reproduce_fig4(out_dir: Path) -> Iterator[tuple]:
     n_values = (4, 6, 8, 11, 16, 23, 32, 45, 64, 91, 128, 181, 256, 362, 512)
     for h, ref in TABLE2_ROOTS.items():
         records = _sweep_to(out_dir, f"fig4_h{h:g}",
@@ -400,12 +396,12 @@ def reproduce_fig4(out_dir: Path) -> Iterator[tuple]:
 
 
 _TARGETS = {
-    "table1": reproduce_table1,
-    "table2": reproduce_table2,
-    "fig1": reproduce_fig12,
-    "fig2": reproduce_fig12,
-    "fig3": reproduce_fig3,
-    "fig4": reproduce_fig4,
+    "table1": _reproduce_table1,
+    "table2": _reproduce_table2,
+    "fig1": _reproduce_fig12,
+    "fig2": _reproduce_fig12,
+    "fig3": _reproduce_fig3,
+    "fig4": _reproduce_fig4,
 }
 
 
@@ -489,9 +485,7 @@ def main(argv=None) -> int:
             root = transition_point(u, (1.0, 200.0))
             print(f"{u.id}: tail-balance root {root:.4f} (nearest integer {round(root)})")
             return 0
-        if args.command == "reproduce":
-            return reproduce(args.target, args.out)
-        raise AssertionError("unreachable")
+        return reproduce(args.target, args.out)
     except HermscaleError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 4

@@ -45,7 +45,7 @@ def assemble(basis: ScaledBasis, gamma: float) -> tuple:
     n = np.arange(basis.n_max + 1)
     b2 = basis.beta ** 2
     diag = b2 * (2 * n + 1) / 2.0 + gamma
-    m = n[:-2] if basis.n_max >= 2 else np.empty(0, dtype=int)
+    m = n[:-2]
     offdiag2 = -b2 * np.sqrt((m + 1.0) * (m + 2.0)) / 2.0
     return diag, offdiag2
 

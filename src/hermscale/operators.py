@@ -253,10 +253,15 @@ def balance_scaling(u: TestFunction, n_max: int, bracket) -> float:
     saturation instead of inventing a root.  A probed beta where both tails
     underflow to zero raises AccuracyError: there the log-difference is
     undefined, and any beta returned would depend on the bracket, not on u.
+    For the same reason N = 0 raises DegenerateBalanceError: both cutoffs
+    are 0 for every beta, so the log-difference vanishes identically.
     """
     lo, hi = float(bracket[0]), float(bracket[1])
     if not 0 < lo < hi:
         raise ValueError(f"bracket must satisfy 0 < lo < hi, got {bracket}")
+    if ScaledBasis(n_max, lo).n_max == 0:
+        raise DegenerateBalanceError(f"{u.id}: at N=0 both tail cutoffs are 0, "
+                                     "so the tails balance at every beta")
 
     def log_diff(beta):  # 0 once balanced to _BALANCE_LOG_TOL
         tails = error_breakdown(u, ScaledBasis(n_max, beta))

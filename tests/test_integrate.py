@@ -18,6 +18,23 @@ def moment_rows(x, d=6):
     return (x ** j * g for j in range(d))
 
 
+def test_rule_constants():
+    # K15 is exact for x^p on [-1, 1] up to p = 22 and G7 up to p = 13, each
+    # to 4 ulp of 2/(p+1) (0 for odd p), and neither at the next even power;
+    # both weight sets sum to 2, and G7 has no weight on the even Kronrod nodes.
+    x = _integrate._XGK
+    k15, g7 = _integrate._WKG.T
+    for w, degree in ((k15, 22), (g7, 13)):
+        assert math.fsum(w) == 2.0
+        for p in range(degree + 1):
+            exact = 2.0 / (p + 1) if p % 2 == 0 else 0.0
+            assert math.fsum(w * x ** p) == pytest.approx(
+                exact, rel=0.0, abs=4 * np.spacing(2.0 / (p + 1))), (degree, p)
+        p = degree + 2 - degree % 2  # the next even power
+        assert abs(math.fsum(w * x ** p) - 2.0 / (p + 1)) > 1e-10
+    assert (g7[::2] == 0.0).all()
+
+
 class TestVectorIntegrand:
     def test_rows_match_scalar_calls(self):
         # Each yielded 1-d row is a component of its own; a lone 1-d array

@@ -1,5 +1,6 @@
 import dataclasses
 import math
+import re
 import sys
 import tracemalloc
 
@@ -683,9 +684,13 @@ class TestBalanceScaling:
         # beta (test below), so no bracket has them.  Where the oracle
         # returns a beta on the underflow plateau, balance_scaling raises
         # AccuracyError (test_underflow_plateau_raises); no draw lands there.
+        # At N = 0, where the oracle returns the bracket's lower end, it
+        # raises DegenerateBalanceError (test_zero_truncation_index_raises).
         bracket = (10.0 ** log_lo, 10.0 ** log_hi)
         want = outcome(oracle_balance_scaling, u, n_max, bracket)
-        if isinstance(want, str) and both_tails_zero(u, n_max, float(want)):
+        if isinstance(want, str) and n_max == 0:
+            want = DegenerateBalanceError
+        elif isinstance(want, str) and both_tails_zero(u, n_max, float(want)):
             want = AccuracyError
         assert outcome(hs.balance_scaling, u, n_max, bracket) == want
 
@@ -707,6 +712,19 @@ class TestBalanceScaling:
         assert str(info.value) == (f"gaussian_power({n}): spatial and frequency "
                                    f"tails both underflow to 0 at N=5000, "
                                    f"beta={old_beta:g}")
+
+    @pytest.mark.parametrize("u", [hs.algebraic(1.0), hs.gaussian_power(2),
+                                   hs.plain_gaussian(2.0)], ids=lambda u: u.id)
+    @pytest.mark.parametrize("bracket", [(1e-3, 1e3), (0.5, 7.0)])
+    def test_zero_truncation_index_raises(self, u, bracket):
+        # At N = 0 both cutoffs are 0 for every beta, so the log-difference
+        # vanishes identically, and the oracle's bisection returns the
+        # bracket's lower end whatever u is.
+        assert oracle_balance_scaling(u, 0, bracket) == bracket[0]
+        with pytest.raises(DegenerateBalanceError, match=(
+                rf"^{re.escape(u.id)}: at N=0 both tail cutoffs are 0, so the "
+                "tails balance at every beta$")):
+            hs.balance_scaling(u, 0, bracket)
 
     @settings(max_examples=40, deadline=None)
     @given(u=FAMILIES, n_max=st.integers(0, 1024),
