@@ -18,38 +18,58 @@ import numpy as np
 
 from .errors import AccuracyError
 
-# (G7, K15) Gauss-Kronrod pair on [-1, 1] as QUADPACK's dqk15 stores it: the
-# 8 Kronrod abscissae x >= 0, largest first, their weights, and the 7-point
-# Gauss weights, which sit on every second one of them.
+# (G15, K31) Gauss-Kronrod pair on [-1, 1] as QUADPACK's dqk31 stores it: the
+# 16 Kronrod abscissae x >= 0, largest first, their weights, and the 8 Gauss
+# weights, which sit on every second one of them.
 _XGK = np.array([
-    0.991455371120812639206854697526329,
-    0.949107912342758524526189684047851,
-    0.864864423359769072789712788640926,
-    0.741531185599394439863864773280788,
-    0.586087235467691130294144838258730,
-    0.405845151377397166906606412076961,
-    0.207784955007898467600689403773245,
+    0.998002298693397060285172840152271,
+    0.987992518020485428489565718586613,
+    0.967739075679139134257347978784337,
+    0.937273392400705904307758947710209,
+    0.897264532344081900882509656454496,
+    0.848206583410427216200648320774217,
+    0.790418501442465932967649294817947,
+    0.724417731360170047416186054613938,
+    0.650996741297416970533735895313275,
+    0.570972172608538847537226737253911,
+    0.485081863640239680693655740232351,
+    0.394151347077563369897207370981045,
+    0.299180007153168812166780024266389,
+    0.201194093997434522300628303394596,
+    0.101142066918717499027074231447392,
     0.0,
 ])
-_WKG = np.zeros((8, 2))  # K15 and G7 weights side by side
+_WKG = np.zeros((16, 2))  # K31 and G15 weights side by side
 _WKG[:, 0] = [
-    0.022935322010529224963732008058970,
-    0.063092092629978553290700663189204,
-    0.104790010322250183839876322541518,
-    0.140653259715525918745189590510238,
-    0.169004726639267902826583426598550,
-    0.190350578064785409913256402421014,
-    0.204432940075298892414161999234649,
-    0.209482141084727828012999174891714,
+    0.005377479872923348987792051430128,
+    0.015007947329316122538374763075807,
+    0.025460847326715320186874001019653,
+    0.035346360791375846222037948478360,
+    0.044589751324764876608227299373280,
+    0.053481524690928087265343147239430,
+    0.062009567800670640285139230960803,
+    0.069854121318728258709520077099147,
+    0.076849680757720378894432777482659,
+    0.083080502823133021038289247286104,
+    0.088564443056211770647275443693774,
+    0.093126598170825321225486872747346,
+    0.096642726983623678505179907627589,
+    0.099173598721791959332393173484603,
+    0.100769845523875595044946662617570,
+    0.101330007014791549017374792767493,
 ]
 _WKG[1::2, 1] = [
-    0.129484966168869693270611432679082,
-    0.279705391489276667901467771423780,
-    0.381830050505118944950369775488975,
-    0.417959183673469387755102040816327,
+    0.030753241996117268354628393577204,
+    0.070366047488108124709267416450667,
+    0.107159220467171935011869546685869,
+    0.139570677926154314447804794511028,
+    0.166269205816993933553200860481209,
+    0.186161000015562211026800561866423,
+    0.198431485327111576456118326443839,
+    0.202578241925561272880620199967519,
 ]
 # The rule is symmetric: mirror each half-table about the centre node, which
-# stays +0.0.  One product with _WKG then gives the K15 and G7 sums.
+# stays +0.0.  One product with _WKG then gives the K31 and G15 sums.
 _XGK = np.r_[-_XGK[:-1], _XGK[::-1]]
 _WKG = np.r_[_WKG, _WKG[-2::-1]]
 # Most panels bisected in one round of adaptive_quad.
@@ -65,13 +85,13 @@ def _eval_panels(f, lo, hi, weight):
     """Evaluate f on a batch of panels and fold them into running totals.
 
     lo, hi, weight: arrays of shape (p,).  The integrand is called once with
-    all p*15 abscissae and returns one array or yields several; each is one
-    block of components, (b, p*15) or (p*15,) for a single component, and is
+    all p*31 abscissae and returns one array or yields several; each is one
+    block of components, (b, p*31) or (p*31,) for a single component, and is
     contracted before the next is drawn.  Returns (integral, error, worst):
     the sums over panels of weight * K and weight * |K - G|, (d,) arrays over
     all d components in order, and each panel's largest |K - G| over the
     components, shape (p,).  A non-finite value makes the totals non-finite
-    without a warning (an inf times a zero G7 weight is a NaN); the caller
+    without a warning (an inf times a zero G15 weight is a NaN); the caller
     checks them before they are trusted.
     """
     mid = 0.5 * (lo + hi)
@@ -81,7 +101,7 @@ def _eval_panels(f, lo, hi, weight):
     integral, error, worst = [], [], np.zeros(lo.size)
     for block in (y,) if isinstance(y, np.ndarray) else y:
         with np.errstate(invalid="ignore", over="ignore"):
-            kg = block.reshape(-1, 15) @ _WKG  # K15 and G7 sums, (b*p, 2)
+            kg = block.reshape(-1, _XGK.size) @ _WKG  # K31 and G15 sums, (b*p, 2)
             ik = half * kg[:, 0].reshape(-1, lo.size)
             err = np.abs(ik - half * kg[:, 1].reshape(-1, lo.size))
             integral.append(ik @ weight)
@@ -90,7 +110,7 @@ def _eval_panels(f, lo, hi, weight):
     return np.concatenate(integral), np.concatenate(error), worst
 
 
-def adaptive_quad(f, edges, *, abs_tol=1e-12, rel_tol=1e-10, max_panels=20000,
+def adaptive_quad(f, edges, *, abs_tol=1e-12, rel_tol=1e-10, max_panels=10000,
                   label="integrand"):
     """Integrate a vectorized integrand over [edges[0], edges[-1]] adaptively.
 

@@ -43,7 +43,7 @@ _X_CLIP = 1e150
 # normal), 57-59 / 62-63 ms; N = 512, 7,800 points (6,668 normal), 14-15 / 16-17
 # ms, with two columns 25 / 23 ms.
 _SPLIT_MIN_POINTS = 4096
-# Rows per block of project's integrand (a working set of _BLOCK_ROWS * 15
+# Rows per block of project's integrand (a working set of _BLOCK_ROWS * 31
 # values per panel, whatever N) and of _transform's contractions; it groups
 # the terms of each coefficient, so changing it changes their last bits.
 _BLOCK_ROWS = 16

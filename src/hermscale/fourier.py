@@ -132,7 +132,7 @@ def tail_norm(f: Callable, cutoff: float) -> float:
     # 2(1+c) r**3 2**-1074 / s on the integrand (|f/s| <= 1): below that
     # floor, taken at r**3 = 16, the Kronrod estimate measures roundoff.
     floor = max(1e-300, 32.0 * (1.0 + c) * 2.0 ** -1074 / s)
-    return s * math.sqrt(2.0 * adaptive_quad(mapped, np.linspace(0.0, 1.0, 17), abs_tol=floor,
+    return s * math.sqrt(2.0 * adaptive_quad(mapped, np.linspace(0.0, 1.0, 9), abs_tol=floor,
                                              rel_tol=1e-11, label=f"tail from cutoff={cutoff}")[0])
 
 

@@ -4,6 +4,7 @@ import re
 import sys
 import tracemalloc
 
+import mpmath as mp
 import numpy as np
 import pytest
 from hypothesis import example, given, settings
@@ -39,13 +40,13 @@ def analytic_gaussian_tail(freq, shift, n_max, terms=400):
 
 
 def project_edges(basis):
-    """project's initial panel edges on [0, x_max]."""
-    return _panel_edges(basis, (max(32, basis.n_max + 16) + 1) // 2)
+    """project's initial panel edges on [0, x_max]: 12 radians of phi_N each."""
+    return _panel_edges(basis, 12.0)
 
 
 def residual_edges(basis):
-    """_residuals's initial panel edges on [0, x_max]."""
-    return _panel_edges(basis, max(16, basis.n_max + 8))
+    """_residuals's initial panel edges on [0, x_max]: 9 radians of phi_N each."""
+    return _panel_edges(basis, 9.0)
 
 
 def mirrored(edges):
@@ -66,7 +67,7 @@ def oracle_project(u, basis, tol=1e-11):
         for start in range(0, basis.size, 16):
             yield np.array([next(rows) for _ in range(min(16, basis.size - start))])
 
-    return adaptive_quad(f, project_edges(basis), abs_tol=tol, rel_tol=0.0, max_panels=40000)
+    return adaptive_quad(f, project_edges(basis), abs_tol=tol, rel_tol=0.0, max_panels=20000)
 
 
 def two_sided_project(u, basis, tol=1e-11):
@@ -82,7 +83,7 @@ def two_sided_project(u, basis, tol=1e-11):
             yield np.array([next(rows) for _ in range(min(16, basis.size - start))])
 
     return adaptive_quad(f, mirrored(project_edges(basis)), abs_tol=tol, rel_tol=0.0,
-                         max_panels=40000)
+                         max_panels=20000)
 
 
 def two_sided_residuals(us, coeffs):
@@ -105,9 +106,43 @@ def two_sided_residuals(us, coeffs):
     noise = 2e-14 * np.maximum(1.0, [np.linalg.norm(cf.values) for cf in coeffs])
     floor = noise * noise * 2.0 * x_max
     core = adaptive_quad(f, mirrored(residual_edges(basis)), abs_tol=np.maximum(1e-30, floor),
-                         rel_tol=_RESIDUAL_REL_TOL, max_panels=40000)
+                         rel_tol=_RESIDUAL_REL_TOL, max_panels=20000)
     tails = np.array([u.spatial_tail(x_max) for u in us])
     return np.sqrt(np.maximum(core, 0.0) + tails * tails)
+
+
+def algebraic_coefficients(h, n_max, beta):
+    """(u, phi_n^beta), n <= n_max, of algebraic(h) = (1 + x**2)**-h at
+    integer h, with no quadrature.  In t = beta*x, with s = beta**2,
+    c_n = beta**(2h - 1/2) * integral h_n(t) (s + t**2)**-h dt, and
+    (s + t**2)**-h is (-1)**(h-1)/(h-1)! times the (h-1)-th s-derivative of
+    1/(s + t**2).  For even n, write h_n(t) = p_n(t) exp(-t**2/2) and divide
+    p_n by t**2 + s: p_n = (t**2 + s) q + p_n(i sqrt(s)), so that
+    J_n(s) = integral h_n(t) / (s + t**2) dt
+           = sum_k q_k m_k + p_n(i sqrt(s)) (pi/sqrt(s)) exp(s/2) erfc(sqrt(s/2)),
+    m_k = integral t**k exp(-t**2/2) dt.  Odd n give 0."""
+    herm = [[1], [0, 2]]  # H_n's integer coefficients, lowest power first
+    for n in range(1, n_max):
+        herm.append([2 * a - 2 * n * b for a, b in
+                     zip([0] + herm[n], herm[n - 1] + [0, 0])])
+    out = np.zeros(n_max + 1)
+    with mp.workdps(60 + 2 * n_max):
+        def j_n(n, s):
+            acc, q = mp.mpf(0), []
+            for a in reversed(herm[n][::2]):  # Horner division by y + s, y = t**2
+                acc = a - s * acc
+                q.append(acc)
+            rest = q.pop()  # p_n(i sqrt(s)), unnormalized
+            moments = sum(c * mp.sqrt(2 * mp.pi) * mp.fac2(2 * k - 1)
+                          for k, c in enumerate(reversed(q)))
+            tail = rest * mp.pi / mp.sqrt(s) * mp.exp(s / 2) * mp.erfc(mp.sqrt(s / 2))
+            return (moments + tail) / mp.sqrt(2 ** n * mp.factorial(n) * mp.sqrt(mp.pi))
+
+        b = mp.mpf(beta)
+        for n in range(0, n_max + 1, 2):
+            d = mp.diff(lambda s: j_n(n, s), b * b, h - 1)
+            out[n] = b ** (2 * h - mp.mpf(0.5)) * (-1) ** (h - 1) / mp.factorial(h - 1) * d
+    return out
 
 
 class TestProjection:
@@ -158,8 +193,8 @@ class TestProjection:
                 hs.project(hs.algebraic(1.0), ScaledBasis(4, 1.0), tol=tol)
 
     def test_memory_bounded_at_n2048(self):
-        # The (15 * panels) x (N+1) basis matrix would be about 1 GB here;
-        # the streamed rows keep the traced peak far below it.
+        # The basis matrix of the first round, (31 * 274) x (N+1), would be
+        # 133 MB here; the streamed rows keep the traced peak far below it.
         u = hs.algebraic(1.0)
         tracemalloc.start()
         try:
@@ -183,14 +218,34 @@ class TestProjection:
         assert np.shape(info.value.value) == (3,)
 
     def test_parseval_mismatch_raises(self):
-        # The measured error misses u's peak here (8.0e-12, ~1e-152 and 0.0)
-        # while sqrt(||u||**2 - ||c||**2) is 1.2533, 1.2533 and 1.33e-2.
+        # The window misses u here (ROADMAP item 1): the measured error
+        # (1.7e-10, ~1e-152 and 0.0) misses u's peak, and so do the
+        # coefficients, so sqrt(||u||**2 - ||c||**2) is all of ||u||: 1.2533,
+        # 1.2533 and 4.21e-3.
         for u, n, beta in ((hs.algebraic(1.0), 8, 1e-10),
                            (hs.algebraic(1.0), 8, 1e-100),
-                           (hs.plain_gaussian(1e-4), 16, 1.0)):
+                           (hs.plain_gaussian(1e-5), 16, 1.0)):
             with pytest.raises(AccuracyError, match="Parseval") as info:
                 hs.projection_error(u, ScaledBasis(n, beta))
-            assert info.value.achieved > 1e-2
+            assert info.value.achieved > 0.99 * u.l2_norm
+
+    def test_narrow_gaussian_against_closed_form(self):
+        # plain_gaussian(1e-4) at N = 16, beta = 1 is item 1's second probe.
+        # It raised while the node nearest the spike stood 25 sigma from it;
+        # K31's stands 5.8 sigma off, which sees the spike, and the adaptive
+        # rounds resolve it.  The window defect stays: 1e-5 still raises.
+        u, basis = hs.plain_gaussian(1e-4), ScaledBasis(16, 1.0)
+        c = hs.gaussian_coefficients(0.0, 0.0, basis.n_max, 0.5e8)
+        exact = math.sqrt(u.l2_norm ** 2 - np.sum(np.abs(c) ** 2))
+        assert hs.projection_error(u, basis) == pytest.approx(exact, rel=1e-6)
+
+    @pytest.mark.parametrize("h, n, beta", [(1, 64, 1.0), (1, 128, 0.9), (1, 32, 3.0),
+                                             (1, 16, 0.05), (2, 64, 1.0)])
+    def test_algebraic_against_closed_form(self, h, n, beta):
+        # ROADMAP item 16: the headline family against coefficients that
+        # use no quadrature.
+        got = hs.project(hs.algebraic(float(h)), ScaledBasis(n, beta)).values
+        assert np.abs(got - algebraic_coefficients(h, n, beta)).max() <= 1e-12
 
     @settings(max_examples=80)
     @given(st.sampled_from(["plain_gaussian(1)", "gaussian(2,1)", "algebraic(1)",
@@ -238,11 +293,11 @@ class TestHalfLineFold:
     """project and _residuals integrate over x >= 0 and serve -x by parity;
     the two-sided integrands they replaced are the reference."""
 
-    # Both routes integrate each coefficient to tol = 1e-11 by the K15 - G7
-    # estimate, which overstates the K15 error by orders on these integrands:
-    # the measured gap is 5.9e-15, and every mutation of the fold (no u(-x)
-    # term, flipped parity sign, S_even and S_odd swapped) moves coefficients
-    # or errors by more than 1e-3.
+    # Both routes integrate each coefficient to tol = 1e-11 by the K31 - G15
+    # estimate, which overstates the K31 error by orders on these integrands:
+    # the measured gap is 4.5e-16 over 40 draws, and every mutation of the
+    # fold (no u(-x) term, flipped parity sign, S_even and S_odd swapped)
+    # moves coefficients or errors by more than 1e-3.
     COEFF_TOL = 1e-12
 
     @settings(max_examples=30)
@@ -303,10 +358,15 @@ class TestHalfLineFold:
 
 def uniform_route(patch):
     """Put the full-line integrals back on the route before graded panels:
-    `uniform` equal initial panels, and rounds that cover the largest excess
+    equal initial panels, (max(32, N + 16) + 1) // 2 of them for project and
+    max(16, N + 8) for _residuals, and rounds that cover the largest excess
     alone."""
-    patch.setattr(operators, "_panel_edges", lambda basis, uniform:
-                  np.linspace(0.0, support_radius(basis), uniform + 1))
+    def uniform_edges(basis, phase):
+        n = basis.n_max
+        count = {12.0: (max(32, n + 16) + 1) // 2, 9.0: max(16, n + 8)}[phase]
+        return np.linspace(0.0, support_radius(basis), count + 1)
+
+    patch.setattr(operators, "_panel_edges", uniform_edges)
     patch.setattr(_integrate, "_round_target", np.max)
 
 
@@ -348,7 +408,7 @@ class TestGradedPanels:
     and each round covers every component's excess; the uniform panels and
     the largest-excess rounds they replaced are the reference."""
 
-    # Each route promises every coefficient to 1e-11 absolute by its K15 - G7
+    # Each route promises every coefficient to 1e-11 absolute by its K31 - G15
     # estimate, which overstates the error by orders on these integrands.
     COEFF_TOL = 1e-11
 
@@ -396,13 +456,10 @@ class TestGradedPanels:
             slack = 0.0
             if raised:
                 # An integral stalled at its noise plateau, where luck alone
-                # separates converging from spending all 40,000 panels, may
-                # raise on one route only (ROADMAP item 12).  Both ways occur:
-                # the uniform route alone raises at gaussian(13.4384, -5.77845),
-                # N = 231, beta = 1.59228, the graded alone at gaussian(2,1),
-                # N = 251, beta = 3.38707 (both H1 pairs).  It must stop within
-                # twice its target, max(floor, 1e-9 * |I|), and its carried
-                # value must agree.
+                # separates converging from spending all 20,000 panels, may
+                # raise on one route only (ROADMAP item 12), either one.  It
+                # must stop within twice its target, max(floor, 1e-9 * |I|),
+                # and its carried value must agree.
                 floors = [(2e-14 * max(1.0, cf.norm)) ** 2 * 2.0 * x_max for cf in coeffs]
                 targets = np.maximum(floors, 1e-9 * np.abs(raised[0].value))
                 assert raised[0].achieved <= 2.0 * targets.max()
@@ -411,9 +468,8 @@ class TestGradedPanels:
                 assert abs(a - b) <= self.integral_tolerance(max(a, b, 0.0), cf, x_max) + slack
 
     def test_work_at_fullline_largest_point(self, monkeypatch):
-        # fullline's largest point: project converges in 2 rounds (6 on
-        # uniform panels), and the residual's first round has at most 3/4 of
-        # the N + 8 uniform panels.
+        # fullline's largest point: project and the residual each converge
+        # in their first round, on panels of 12 and 9 radians of phi_N.
         runs, active = [], []
         quad, panels = operators.adaptive_quad, _integrate._eval_panels
 
@@ -435,8 +491,8 @@ class TestGradedPanels:
         u, basis = hs.algebraic(1.0), ScaledBasis(1024, 30.0 / 32.0)
         residual_l2(u, hs.project(u, basis))
         project_rounds, residual_rounds = runs
-        assert len(project_rounds) <= 2
-        assert residual_rounds[0] <= 0.75 * (basis.n_max + 8)
+        assert project_rounds == [len(_panel_edges(basis, 12.0)) - 1]
+        assert residual_rounds == [len(_panel_edges(basis, 9.0)) - 1]
 
 
 class TestInterpolation:
